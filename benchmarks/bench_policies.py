@@ -1,9 +1,9 @@
-"""Execution-policy comparison: serial vs threads vs processes fan-out.
+"""Execution-policy comparison: serial vs threads fan-out.
 
 Two entry points:
 
 * ``pytest benchmarks/bench_policies.py`` — pytest-benchmark series over
-  the three policies (small smoke sizes so CI exercises every policy's
+  both policies (small smoke sizes so CI exercises every policy's
   code path regularly);
 * ``PYTHONPATH=src python -m benchmarks.bench_policies`` — standalone
   harness run on the acceptance workload (stop-dense facilities at
@@ -13,17 +13,15 @@ Two entry points:
   ``BENCH_policies.json`` at the repository root — the policy companion
   to the shard-layer trajectory in ``BENCH_shards.json``.
 
-What the numbers mean: all three series run the *same* sharded grids at
-the AUTO shard count; only the scheduling differs.  ``serial`` probes
+What the numbers mean: both series run the *same* sharded grids at the
+AUTO shard count; only the scheduling differs.  ``serial`` probes
 shards inline, ``threads`` fans them over a thread pool (numpy releases
-the GIL), ``processes`` ships shard arrays through shared memory to a
-process pool, which also parallelises the Python-side coordination the
-thread policy cannot.  On a single-core box both pools can only add
-overhead — the recorded speedups are honest for the machine that ran
-them (``cpu_count`` is in the report), and the parity checks are the
-point: identical answers under every policy is the contract the
-differential suite (``tests/test_policies.py``) enforces and this
-harness re-proves at benchmark scale.
+the GIL).  On a single-core box the pool can only add overhead — the
+recorded speedups are honest for the machine that ran them
+(``cpu_count`` is in the report), and the parity checks are the point:
+identical answers under every policy is the contract the differential
+suite (``tests/test_policies.py``) enforces and this harness re-proves
+at benchmark scale.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from .conftest import run_once
 #: concatenated probe block, AUTO shard counts.
 STOP_COUNTS = (10_000, 20_000, 50_000)
 PSI = 150.0
-POLICIES = ("serial", "threads", "processes")
+POLICIES = ("serial", "threads")
 _N_FACILITIES = 4
 _N_TRACE_USERS = 3_000  # GPS traces: ~15-40 points each => ~80k probes
 
@@ -118,8 +116,6 @@ def main(out_path: str = None) -> dict:
     factory = WorkloadFactory()
     users = factory.geolife_users(_N_TRACE_USERS)
     n_probe_points = int(sum(u.n_points for u in users))
-    import multiprocessing
-
     report = {
         "host": host_metadata(),
         "workload": {
@@ -129,7 +125,6 @@ def main(out_path: str = None) -> dict:
             "psi": PSI,
             "service_model": "count",
             "cpu_count": os.cpu_count(),
-            "start_method": multiprocessing.get_start_method(),
         },
         "rows": [],
     }
@@ -141,9 +136,9 @@ def main(out_path: str = None) -> dict:
             for p, rt in runtimes.items()
         }
         try:
-            # warm (probe concat, grid/shard builds, pools, shared-memory
-            # exports), then verify parity in-harness: scores AND merged
-            # per-shard work counters must match the serial run exactly
+            # warm (probe concat, grid/shard builds, pools), then verify
+            # parity in-harness: scores AND merged per-shard work
+            # counters must match the serial run exactly
             results = {p: engines[p].run(requests) for p in POLICIES}
             for p in POLICIES[1:]:
                 if results[p].scores != results["serial"].scores:
@@ -178,9 +173,7 @@ def main(out_path: str = None) -> dict:
                 "n_shards": auto_shard_count(n_stops),
                 "serial_seconds": seconds["serial"],
                 "threads_seconds": seconds["threads"],
-                "processes_seconds": seconds["processes"],
                 "threads_speedup": seconds["serial"] / seconds["threads"],
-                "processes_speedup": seconds["serial"] / seconds["processes"],
                 "scores_equal": True,
                 "stats_equal": True,
                 "distance_evals": results["serial"].stats.distance_evals,
@@ -203,10 +196,6 @@ def main(out_path: str = None) -> dict:
                 min(r["threads_speedup"] for r in report["rows"]),
                 max(r["threads_speedup"] for r in report["rows"]),
             ],
-            "processes_speedup_range": [
-                min(r["processes_speedup"] for r in report["rows"]),
-                max(r["processes_speedup"] for r in report["rows"]),
-            ],
         },
         host=report["host"],
     )
@@ -217,9 +206,7 @@ def main(out_path: str = None) -> dict:
             f"  n_stops={r['n_stops']} shards={r['n_shards']}: "
             f"serial {r['serial_seconds']*1e3:.1f}ms, "
             f"threads {r['threads_seconds']*1e3:.1f}ms "
-            f"({r['threads_speedup']:.2f}x), "
-            f"processes {r['processes_seconds']*1e3:.1f}ms "
-            f"({r['processes_speedup']:.2f}x)"
+            f"({r['threads_speedup']:.2f}x)"
         )
     return report
 

@@ -13,7 +13,7 @@ QueryRuntime` execution layer, so the Figure 6–9 sweeps (and the
 MaxkCovRST experiments that stack on them) can be re-run under any
 execution policy and shard count with the ``--runtime`` flag::
 
-    python -m repro.bench.figures fig6a --runtime processes:7:4
+    python -m repro.bench.figures fig6a --runtime threads:7:4
     python -m repro.bench.figures fig7c --runtime threads:auto
     python -m repro.bench.figures --runtime serial:1
 
@@ -66,8 +66,8 @@ __all__ = ["Figure", "Series", "ALL_FIGURES", "run_figure", "render", "main"]
 
 def _sweep_runtime(factory: WorkloadFactory):
     """Context manager: the sweep leg's runtime (or ``None``), closed on
-    exit — the processes policy holds a pool and shared-memory segments
-    that must not outlive the measurement."""
+    exit — the threads policy holds a worker pool that must not outlive
+    the measurement."""
     rt = factory.query_runtime()
     return contextlib.closing(rt) if rt is not None else contextlib.nullcontext()
 
@@ -710,7 +710,7 @@ def main(argv: Sequence[str] = ()) -> int:
         metavar="POLICY[:SHARDS[:WORKERS]]",
         default=None,
         help="run the TQ-path sweeps under a QueryRuntime execution "
-        "policy, e.g. 'serial', 'threads:auto', 'processes:7:4' "
+        "policy, e.g. 'serial', 'threads:auto', 'auto:7:4' "
         "(default: the legacy plain-dense path)",
     )
     args = parser.parse_args(list(argv))

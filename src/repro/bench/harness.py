@@ -21,7 +21,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import IndexVariant, ProximityBackend, RuntimeConfig
+from ..core.config import (
+    ExecutionPolicy,
+    IndexVariant,
+    ProximityBackend,
+    RuntimeConfig,
+)
 from ..core.service import ServiceModel, ServiceSpec
 from ..core.trajectory import FacilityRoute, Trajectory
 from ..datasets import (
@@ -60,7 +65,7 @@ def host_metadata() -> Dict[str, object]:
     """The machine fingerprint every ``BENCH_*.json`` payload records.
 
     Speedup claims are meaningless without the hardware that produced
-    them — a thread/process fan-out measured on a 1-CPU container
+    them — a thread or worker fan-out measured on a 1-CPU container
     honestly hovers at ~1.0x — so each standalone benchmark harness
     embeds this block, making the caveat machine-readable instead of a
     ROADMAP footnote.
@@ -79,10 +84,10 @@ def scaling_tag(host: Optional[Dict[str, object]] = None) -> str:
     """``"measured"`` or ``"parity-only"``: whether a concurrency
     speedup recorded on this host can mean anything.
 
-    On a ``cpu_count == 1`` host, threads, processes, and serving
-    workers all timeshare one core, so any thread/process/worker
-    "speedup" hovers at ~1.0x *by construction* — such a ratio
-    certifies parity and bounded overhead, never scaling.  ``host``
+    On a ``cpu_count == 1`` host, threads and serving worker processes
+    all timeshare one core, so any thread/worker "speedup" hovers at
+    ~1.0x *by construction* — such a ratio certifies parity and bounded
+    overhead, never scaling.  ``host``
     defaults to the live machine; pass a recorded host block to tag a
     claim by the machine that actually produced it.
     """
@@ -99,8 +104,8 @@ def tag_scaling_claim(
 ) -> Dict[str, object]:
     """Stamp a concurrency-speedup claim block in place (and return it).
 
-    Every ``BENCH_*.json`` claim whose ratios compare threads,
-    processes, or serving workers against a serial run must carry this
+    Every ``BENCH_*.json`` claim whose ratios compare threads or
+    serving workers against a serial run must carry this
     tag so the payload cannot be misread as real scaling when it was
     measured on a box that cannot scale.  Adds ``scaling`` (see
     :func:`scaling_tag`) and, when parity-only, a human-readable
@@ -186,20 +191,27 @@ def parse_runtime_spec(spec: str) -> RuntimeConfig:
     """A :class:`RuntimeConfig` from a ``POLICY[:SHARDS[:WORKERS]]`` spec.
 
     This is the grammar of the figure driver's ``--runtime`` flag:
-    ``serial``, ``threads:4``, ``processes:7:2``, … — the policy by
+    ``serial``, ``threads:4``, ``auto:7:2``, … — the policy by
     name, then the shard count (``0`` / ``auto`` = the AUTO heuristic),
     then the worker count (omitted = machine-sized).  The backend stays
     ``AUTO`` (grid for stop-dense sets), since the policy/shard axes are
-    what the runtime sweeps vary.
+    what the runtime sweeps vary.  Every malformed spec, an unknown
+    policy name included, raises :class:`ValueError`.
     """
     parts = [p.strip() for p in spec.split(":")]
     if not any(parts):
         raise ValueError(f"empty runtime spec: {spec!r}")
     if not all(parts):
-        # 'processes::4' is a typo, not a request — misparsing it as
+        # 'threads::4' is a typo, not a request — misparsing it as
         # shards=4 would silently run a different configuration
         raise ValueError(f"runtime spec has an empty field: {spec!r}")
-    policy = parts[0]
+    try:
+        policy = ExecutionPolicy(parts[0])
+    except ValueError:
+        raise ValueError(
+            f"unknown execution policy in runtime spec {spec!r} (choose "
+            f"from {[p.value for p in ExecutionPolicy]})"
+        ) from None
     shards = 0
     max_workers: Optional[int] = None
     if len(parts) > 1:
@@ -392,8 +404,8 @@ class WorkloadFactory:
         Fresh per call for the same reason :meth:`runtime` is not
         memoised: each sweep leg owns its caches, so one leg's warm
         masks cannot contaminate another's measurement.  Callers must
-        ``close()`` (or ``with``) the runtime — the processes policy
-        holds a pool and shared-memory segments.
+        ``close()`` (or ``with``) the runtime — the threads policy
+        holds a worker pool.
         """
         if self.runtime_config is None:
             return None

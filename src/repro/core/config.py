@@ -15,8 +15,8 @@ selects how exact ``psi``-distance checks are executed at query time:
 the dense all-pairs broadcast (the reference oracle path) or the uniform
 stop grid of :mod:`repro.engine` (``AUTO`` picks per stop set).
 :class:`ExecutionPolicy` selects how sharded probes are *scheduled* —
-serially, over a thread pool, over a process pool with shared-memory
-shard views, or adaptively (``AUTO`` picks per probe block).
+serially, over a thread pool, or adaptively (``AUTO`` picks per probe
+block).
 :class:`RuntimeConfig` bundles backend, policy, sharding, and worker
 settings consumed by :class:`repro.runtime.QueryRuntime` — none of
 these knobs ever changes a query answer, only how the geometric work is
@@ -87,7 +87,7 @@ class ExecutionPolicy(enum.Enum):
     Like :class:`ProximityBackend`, the choice never affects results —
     shard masks are unioned and the union is order-independent — only
     where the per-shard work runs.  :class:`RuntimeConfig` accepts the
-    enum or its string value (``RuntimeConfig(policy="processes")``).
+    enum or its string value (``RuntimeConfig(policy="threads")``).
     """
 
     SERIAL = "serial"
@@ -99,12 +99,6 @@ class ExecutionPolicy(enum.Enum):
     """Fan shard probes out over a :class:`~concurrent.futures.
     ThreadPoolExecutor` (the dense numpy kernels release the GIL, so
     shard tasks genuinely overlap)."""
-
-    PROCESSES = "processes"
-    """Fan shard probes out over a :class:`~concurrent.futures.
-    ProcessPoolExecutor`; shard arrays ship once through
-    ``multiprocessing.shared_memory`` and workers reconstruct zero-copy
-    views, so the coordinator scales past the GIL entirely."""
 
     AUTO = "auto"
     """Pick per probe block: serial for small blocks (scheduling
@@ -164,24 +158,19 @@ class RuntimeConfig:
         How exact ``psi``-distance checks run (never changes answers).
     policy:
         How sharded probes are scheduled (:class:`ExecutionPolicy` or
-        its string value): ``"serial"``, ``"threads"`` (default),
-        ``"processes"``, or ``"auto"`` (serial for small probe blocks,
-        thread fan-out for large ones).  Never changes answers either.
+        its string value): ``"serial"``, ``"threads"`` (default), or
+        ``"auto"`` (serial for small probe blocks, thread fan-out for
+        large ones).  Never changes answers either.
     shards:
         Grid shard count for stop sets the runtime dresses:
         :data:`SHARDS_AUTO` picks per stop set via
         :func:`auto_shard_count`; ``1`` forces the unsharded grid;
         ``>= 2`` forces that many shards.
     max_workers:
-        Workers (threads or processes, per ``policy``) for fanning a
-        probe block out over shards.  ``None`` sizes the pool from
-        ``os.cpu_count()``; ``0`` or ``1`` keeps the fan-out serial
-        (still sharded — the partition pays for itself through cache
-        locality even without parallelism).
-    start_method:
-        ``multiprocessing`` start method for the ``processes`` policy:
-        ``"fork"``, ``"spawn"``, ``"forkserver"``, or ``None`` for the
-        platform default.  Ignored by the other policies.
+        Threads for fanning a probe block out over shards.  ``None``
+        sizes the pool from ``os.cpu_count()``; ``0`` or ``1`` keeps
+        the fan-out serial (still sharded — the partition pays for
+        itself through cache locality even without parallelism).
     store_dir:
         Directory of persisted index files (``repro.store`` format) the
         runtime's :class:`~repro.engine.ShardStore` probes on cache
@@ -196,7 +185,6 @@ class RuntimeConfig:
     policy: Union[ExecutionPolicy, str] = ExecutionPolicy.THREADS
     shards: int = SHARDS_AUTO
     max_workers: "int | None" = None
-    start_method: Optional[str] = None
     store_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -219,11 +207,6 @@ class RuntimeConfig:
         if self.max_workers is not None and self.max_workers < 0:
             raise QueryError(
                 f"max_workers must be >= 0 or None, got {self.max_workers}"
-            )
-        if self.start_method not in _START_METHODS:
-            raise QueryError(
-                f"unknown start method: {self.start_method!r} (choose "
-                f"from {_START_METHODS})"
             )
         if self.store_dir is not None and (
             not isinstance(self.store_dir, str) or not self.store_dir

@@ -112,6 +112,11 @@ def psi_hit(dx: np.ndarray, dy: np.ndarray, psi: float) -> np.ndarray:
     Every coverage decision in the library (dense broadcast, grid
     candidate check, single-point probe) reduces to this one comparison,
     so dense and grid paths are bit-identical by construction.
+
+    Huge coordinates can overflow the squares to ``inf``, which still
+    compares correctly.  Callers silence that overflow once per probe
+    batch with ``np.errstate(over="ignore")``; doing it here would pay
+    the context switch on every call.
     """
     return dx * dx + dy * dy <= psi * psi
 
@@ -138,9 +143,10 @@ def coverage_kernel(
     if stats is not None:
         stats.points_scanned += int(pts.shape[0])
         stats.distance_evals += int(pts.shape[0]) * int(stops.shape[0])
-    dx = pts[:, 0, None] - stops[None, :, 0]
-    dy = pts[:, 1, None] - stops[None, :, 1]
-    return np.any(psi_hit(dx, dy, psi), axis=1)
+    with np.errstate(over="ignore"):
+        dx = pts[:, 0, None] - stops[None, :, 0]
+        dy = pts[:, 1, None] - stops[None, :, 1]
+        return np.any(psi_hit(dx, dy, psi), axis=1)
 
 
 class StopSet:

@@ -323,9 +323,10 @@ class CellstringIndex:
         )
         cand = self.boundary_stops[pair_slot]
         sub = pts[vi]
-        dx = sub[pair_point, 0] - self.coords[cand, 0]
-        dy = sub[pair_point, 1] - self.coords[cand, 1]
-        out[vi[pair_point[psi_hit(dx, dy, psi)]]] = True
+        with np.errstate(over="ignore"):
+            dx = sub[pair_point, 0] - self.coords[cand, 0]
+            dy = sub[pair_point, 1] - self.coords[cand, 1]
+            out[vi[pair_point[psi_hit(dx, dy, psi)]]] = True
         return out
 
     def covers_point(

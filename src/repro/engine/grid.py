@@ -159,8 +159,11 @@ def _cell_indices_of(
 ) -> np.ndarray:
     """Integer cell coordinates of ``pts`` (may be negative)."""
     out = np.empty(pts.shape, dtype=np.int64)
-    qx = np.floor((pts[:, 0] - ox) / cell)
-    qy = np.floor((pts[:, 1] - oy) / cell)
+    # far points overflow the quotient to +-inf; the clamp below is the
+    # intended handling, so the overflow is not worth a warning
+    with np.errstate(over="ignore"):
+        qx = np.floor((pts[:, 0] - ox) / cell)
+        qy = np.floor((pts[:, 1] - oy) / cell)
     # NaN coordinates (and NaN - inf arithmetic) survive np.clip; pin
     # them to the clamp so the int cast is defined and the point lands
     # outside every populated cell — a sound rejection, not UB.
@@ -317,9 +320,10 @@ class StopGrid:
             return out
         # expand (point, candidate-stop) pairs flat, kernel-check at once
         pair_point, pair_stop = _expand_candidate_pairs(lo, counts, per_point, total)
-        dx = pts[pair_point, 0] - self._sorted_coords[pair_stop, 0]
-        dy = pts[pair_point, 1] - self._sorted_coords[pair_stop, 1]
-        out[pair_point[psi_hit(dx, dy, psi)]] = True
+        with np.errstate(over="ignore"):
+            dx = pts[pair_point, 0] - self._sorted_coords[pair_stop, 0]
+            dy = pts[pair_point, 1] - self._sorted_coords[pair_stop, 1]
+            out[pair_point[psi_hit(dx, dy, psi)]] = True
         return out
 
     def covers_point(

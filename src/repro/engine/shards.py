@@ -68,7 +68,6 @@ from .grid import (
 
 __all__ = [
     "StopShard",
-    "MmapStopShard",
     "ShardedStopGrid",
     "ShardedStopSet",
     "ShardStore",
@@ -115,8 +114,8 @@ class ProbeBatch:
     Everything a shard needs beyond its own arrays: the probe points,
     their cell coordinates and clipped y-windows, the candidate key
     window ``[kmin, kmax]`` per point, the query radius, and the grid
-    width ``nx``.  Execution-policy fan-outs ship exactly this (plus the
-    shard arrays) to wherever the probe runs — thread, process, or the
+    width ``nx``.  Execution-policy fan-outs hand exactly this (plus the
+    shard arrays) to wherever the probe runs — a pool thread or the
     calling frame — so every policy computes from identical inputs.
     """
 
@@ -146,10 +145,8 @@ def probe_shard_arrays(
 
     A pure module-level function of immutable arrays — the one probe
     body every execution policy runs.  The thread policy calls it on
-    shared arrays directly; the process policy reconstructs the same
-    arrays from shared memory in a worker and calls it there; serial
-    execution calls it inline.  Identical inputs, identical maths,
-    identical masks.
+    shared arrays from pool threads; serial execution calls it inline.
+    Identical inputs, identical maths, identical masks.
 
     Returns ``None`` when no probe point's candidate window overlaps the
     shard (or nothing was gathered), else ``(scan_pts, hits, evals,
@@ -190,9 +187,10 @@ def probe_shard_arrays(
     # expand (point, candidate-stop) pairs flat, kernel at once
     pair_point, pair_stop = _expand_candidate_pairs(lo, counts, per_point, total)
     sub = batch.pts[sel]
-    dx_ = sub[pair_point, 0] - coords[pair_stop, 0]
-    dy_ = sub[pair_point, 1] - coords[pair_stop, 1]
-    hits = sel[pair_point[psi_hit(dx_, dy_, batch.psi)]]
+    with np.errstate(over="ignore"):
+        dx_ = sub[pair_point, 0] - coords[pair_stop, 0]
+        dy_ = sub[pair_point, 1] - coords[pair_stop, 1]
+        hits = sel[pair_point[psi_hit(dx_, dy_, batch.psi)]]
     return sel[per_point > 0], hits, total, cells
 
 
@@ -232,24 +230,6 @@ class StopShard:
     @property
     def n_cells(self) -> int:
         return int(self.cell_starts[-1])
-
-
-class MmapStopShard(StopShard):
-    """A :class:`StopShard` whose arrays are read-only memmap views of a
-    persisted store file (:mod:`repro.store`).
-
-    Identical probe behaviour — same slots, same arrays, same kernel —
-    plus the provenance the process execution policy needs:
-    ``store_path`` names the file the views were mapped from and
-    ``shard_index`` this slice's position in it, so the policy can ship
-    the *path* to workers (who map the same file read-only) instead of
-    copying the arrays into ``multiprocessing.shared_memory``.
-
-    Constructed only by ``repro.store``'s sharded-grid codec, which
-    fills the slots over its memmap views directly.
-    """
-
-    __slots__ = ("store_path", "shard_index")
 
 
 def _grid_key(
@@ -718,7 +698,7 @@ class ShardedStopGrid:
           threads (they read only shared immutable arrays);
         * any object with a ``probe_shards(shards, batch)`` method — the
           fan-out is delegated entirely (this is how the runtime's
-          process policy ships shard arrays through shared memory).  The
+          ``auto`` policy picks serial or threads per probe block).  The
           method must return one :data:`ProbeResult`-or-``None`` per
           shard, *in shard order*.
 

@@ -27,7 +27,6 @@ from ..core.config import (
 from .policies import (
     AutoPolicyExecutor,
     PolicyExecutor,
-    ProcessPolicyExecutor,
     SerialPolicyExecutor,
     ThreadPolicyExecutor,
     make_policy_executor,
@@ -45,7 +44,6 @@ __all__ = [
     "PolicyExecutor",
     "SerialPolicyExecutor",
     "ThreadPolicyExecutor",
-    "ProcessPolicyExecutor",
     "AutoPolicyExecutor",
     "make_policy_executor",
 ]

@@ -24,9 +24,8 @@ execution policy:
 * **the execution policy** — a :class:`~repro.runtime.policies.
   PolicyExecutor` built from ``RuntimeConfig.policy``: ``serial``
   probes shards inline, ``threads`` fans them over a lazily created
-  thread pool (the dense numpy kernels release the GIL), and
-  ``processes`` ships shard arrays through shared memory to a process
-  pool so the coordinator scales past the GIL; sized by
+  thread pool (the dense numpy kernels release the GIL), and ``auto``
+  picks between the two per probe block; sized by
   ``RuntimeConfig.max_workers``;
 * **the probe path** — :meth:`probe_mask` is the single coverage probe
   the query layer calls: it dresses the stop set per policy and runs
@@ -99,12 +98,8 @@ class QueryRuntime:
 
     A runtime is also a context manager: ``with QueryRuntime() as rt:``
     shuts the worker machinery down on exit.  Without the
-    context-manager form the resources live until :meth:`close`; for
-    the ``serial``/``threads`` policies a forgotten close is cheap
-    (idle threads), but the ``processes`` policy holds a process pool
-    and named shared-memory segments — always close it (a GC finalizer
-    releases the segments as a safety net, but only when the executor
-    is actually collected).
+    context-manager form the resources live until :meth:`close`; a
+    forgotten close is cheap (idle pool threads).
     """
 
     def __init__(
@@ -141,24 +136,11 @@ class QueryRuntime:
         Shape depends on the configured :class:`~repro.core.config.
         ExecutionPolicy`: ``serial`` always yields ``None``, ``threads``
         a lazily built :class:`~concurrent.futures.ThreadPoolExecutor`,
-        ``processes`` the shared-memory fan-out object.  Lazy building
+        ``auto`` its per-block ``probe_shards`` fan-out.  Lazy building
         means runtimes created by the legacy keyword shims cost nothing
         unless sharding actually engages.
         """
         return self.policy_executor.live()
-
-    def prepare(self) -> None:
-        """Bring the policy's worker machinery up eagerly.
-
-        A no-op for the serial/threads/auto policies (lazy pools, no
-        fork hazard); for the ``processes`` policy this launches the
-        worker processes *now*, from the calling thread's clean state —
-        which is what a multi-threaded host (the asyncio
-        :class:`repro.service.QueryService`, any thread-pooled server)
-        must do before its threads start, per the fork caveat in
-        DESIGN.md §5.1.
-        """
-        self.policy_executor.prepare()
 
     def close(self) -> None:
         """Shut the worker machinery down; the runtime stays usable
@@ -410,30 +392,17 @@ class QueryRuntime:
     def worker_mmap_paths(self) -> Tuple[str, ...]:
         """The persisted store files this process serves over memory-
         mapped views: everything any codec mmap-opened (catalog
-        payloads included), everything the shard store *opened* instead
-        of building, plus — under the processes policy — every store
-        path shipped to pool workers as an mmap descriptor.
+        payloads included) and everything the shard store *opened*
+        instead of building.
 
         This is the zero-copy evidence the multi-worker serving layer
         reports per worker on ``GET /stats``: a worker whose indexes
         all arrive here created no private index copies.  Reads only
-        parent-side records — cheap enough for a stats handler, no pool
-        probing.
+        in-process records — cheap enough for a stats handler.
         """
         paths = set(opened_mmap_paths())
         paths.update(self.shard_store.opened_paths)
-        executor = self.policy_executor
-        paths.update(getattr(executor, "mmap_paths_shipped", ()))
         return tuple(sorted(paths))
-
-    def shm_segments_created(self) -> int:
-        """How many shard exports this runtime copied into
-        ``multiprocessing.shared_memory`` segments (0 under every
-        policy but ``processes``, and 0 under ``processes`` when every
-        probed shard rode the mmap transport instead — the assertion
-        the store-catalog serving tests make)."""
-        executor = self.policy_executor
-        return int(getattr(executor, "shm_shipped", 0))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -548,9 +548,8 @@ class HttpQueryServer:
                 "host": self.direct_address[0],
                 "port": self.direct_address[1],
                 # the zero-copy evidence: store files served over mmap
-                # views vs shard exports copied into shared memory
+                # views instead of private index copies
                 "mmap_paths": list(runtime.worker_mmap_paths()),
-                "shm_segments": runtime.shm_segments_created(),
             }
         return payload
 

@@ -37,10 +37,9 @@ supervisor resolves the catalog spec first and workers inherit the live
 objects copy-on-write.  Under ``spawn``/``forkserver`` each worker
 re-opens the spec itself — which for ``store:<dir>`` catalogs is
 O(open): every worker memory-maps the same immutable index files, so
-all N processes (and their runtimes' shard stores, via the
-``("mmap", path, shard_index)`` descriptor path) share one physical
+all N processes (and their runtimes' shard stores) share one physical
 page-cache copy.  ``GET /stats`` reports each worker's ``mmap_paths``
-and ``shm_segments`` so the zero-copy claim is checkable over the wire.
+so the zero-copy claim is checkable over the wire.
 
 **Worker table and affinity.**  Each worker also binds a private
 *direct* listener (ephemeral port) and reports it over its control

@@ -275,11 +275,6 @@ class QueryService:
         self._owns_runtime = runtime is None
         self.runtime = runtime if runtime is not None else QueryRuntime()
         self.config = config if config is not None else ServiceConfig()
-        # fork-safety: launch any process-pool workers from the current
-        # (ideally still single-threaded) state, before bridge threads
-        # exist — forking lazily mid-request from a bridge thread can
-        # clone another thread's held lock and deadlock the worker
-        self.runtime.prepare()
         self.planner = QueryPlanner()
         # the live counters stay private: they are mutated from the
         # event loop *and* from bridge-side reapers, so handing the

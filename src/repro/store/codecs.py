@@ -13,12 +13,6 @@ queries through the exact same code paths as freshly built ones
 :class:`~repro.core.stats.QueryStats` are bit-identical by
 construction — and ``tests/test_store.py`` holds them to ``==``.
 
-A mmap-opened sharded grid gets :class:`~repro.engine.shards
-.MmapStopShard` slices, which carry the store path they were mapped
-from; the process execution policy recognises them and ships the *path*
-to workers instead of copying shard arrays into
-``multiprocessing.shared_memory``.
-
 Bundles for catalog payloads ride the same container:
 :func:`save_trajectory_bundle` / :func:`open_trajectory_bundle`
 (flattened point rows + CSR offsets + ids) and
@@ -41,7 +35,7 @@ from ..core.errors import StoreError
 from ..core.trajectory import FacilityRoute, Trajectory
 from ..engine.cellstring import CellstringIndex
 from ..engine.grid import StopGrid
-from ..engine.shards import MmapStopShard, ShardedStopGrid, StopShard
+from ..engine.shards import ShardedStopGrid, StopShard
 from .format import read_store_file, write_store_file
 
 __all__ = [
@@ -57,11 +51,9 @@ __all__ = [
 #: Every store file this *process* has opened as memmap views, by
 #: absolute path.  The scale-out serving stack reports this per worker
 #: (``GET /stats`` → ``worker.mmap_paths``) as evidence that N workers
-#: share one physical catalog instead of copying it: mmap opens land
-#: here, ``shared_memory`` exports land in the policy executor's
-#: ``shm_shipped`` counter, and the prefork tests hold the first
-#: non-empty and the second at zero.  Append-only and tiny (one entry
-#: per distinct file), so no eviction.
+#: share one physical catalog instead of copying it; the prefork tests
+#: hold it non-empty when serving a store catalog.  Append-only and tiny
+#: (one entry per distinct file), so no eviction.
 _MMAP_OPENED: set = set()
 
 
@@ -157,7 +149,7 @@ def _encode_sharded_grid(grid: ShardedStopGrid):
     return meta, arrays
 
 
-def _decode_sharded_grid(meta, arrays, store_path: Optional[str]):
+def _decode_sharded_grid(meta, arrays):
     grid = ShardedStopGrid.__new__(ShardedStopGrid)
     grid.coords = arrays["coords"]
     grid.psi = float(meta["psi"])
@@ -175,12 +167,7 @@ def _decode_sharded_grid(meta, arrays, store_path: Optional[str]):
         )
     shards: List[StopShard] = []
     for i in range(grid.n_shards):
-        if store_path is None:
-            shard = StopShard.__new__(StopShard)
-        else:
-            shard = MmapStopShard.__new__(MmapStopShard)
-            shard.store_path = store_path
-            shard.shard_index = i
+        shard = StopShard.__new__(StopShard)
         keys = arrays["shard_keys"][key_offsets[i] : key_offsets[i + 1]]
         shard.keys = keys
         shard.coords = arrays["shard_coords"][key_offsets[i] : key_offsets[i + 1]]
@@ -256,26 +243,23 @@ def save_index(path: str, index: AnyIndex) -> str:
     return write_store_file(path, kind, meta, arrays)
 
 
-def open_index(
-    path: str, mmap_mode: Optional[str] = "r", verify: bool = True
-) -> AnyIndex:
+def open_index(path: str, mmap_mode: Optional[str] = "r") -> AnyIndex:
     """Reconstruct the index persisted at ``path``.
 
     ``mmap_mode="r"`` (default) backs every array with a zero-copy
     read-only memmap view — O(open) and cross-process shareable;
     ``mmap_mode=None`` loads eagerly (bit-identical content, no file
-    handle retained).  ``verify=True`` checks the content hash first.
+    handle retained).  The content hash is checked first.
     All failures raise :class:`~repro.core.errors.StoreError`.
     """
-    kind, meta, arrays = read_store_file(path, mmap_mode=mmap_mode, verify=verify)
+    kind, meta, arrays = read_store_file(path, mmap_mode=mmap_mode)
     if mmap_mode == "r":
         _MMAP_OPENED.add(os.path.abspath(path))
     try:
         if kind == KIND_STOP_GRID:
             return _decode_stop_grid(meta, arrays)
         if kind == KIND_SHARDED_GRID:
-            store_path = os.path.abspath(path) if mmap_mode == "r" else None
-            return _decode_sharded_grid(meta, arrays, store_path)
+            return _decode_sharded_grid(meta, arrays)
         if kind == KIND_CELLSTRING:
             return _decode_cellstring(meta, arrays)
     except (KeyError, TypeError, ValueError) as exc:
@@ -328,7 +312,7 @@ def save_trajectory_bundle(
 
 
 def open_trajectory_bundle(
-    path: str, verify: bool = True
+    path: str,
 ) -> Tuple[str, List[Union[Trajectory, FacilityRoute]]]:
     """``(kind, items)`` from a bundle written by
     :func:`save_trajectory_bundle`.
@@ -338,7 +322,7 @@ def open_trajectory_bundle(
     keeps every persisted object validated by the same code as live
     ones.
     """
-    kind, meta, arrays = read_store_file(path, mmap_mode=None, verify=verify)
+    kind, meta, arrays = read_store_file(path, mmap_mode=None)
     if kind not in (KIND_TRAJECTORIES, KIND_FACILITIES):
         raise StoreError(
             f"store file {path!r} holds kind {kind!r}, not a bundle"
@@ -389,7 +373,7 @@ def save_tree_node_tables(path: str, tree) -> str:
 
 
 def adopt_tree_node_tables(
-    tree, path: str, mmap_mode: Optional[str] = "r", verify: bool = True
+    tree, path: str, mmap_mode: Optional[str] = "r"
 ) -> int:
     """Assign persisted governing tables into ``tree``'s node caches;
     returns how many nodes adopted a table.
@@ -403,7 +387,7 @@ def adopt_tree_node_tables(
     and ``gov_arrays`` self-heals on any later mismatch by rebuilding —
     so a stale file costs a lazy rebuild, not a wrong answer.
     """
-    kind, meta, arrays = read_store_file(path, mmap_mode=mmap_mode, verify=verify)
+    kind, meta, arrays = read_store_file(path, mmap_mode=mmap_mode)
     if mmap_mode == "r":
         _MMAP_OPENED.add(os.path.abspath(path))
     if kind != KIND_NODE_TABLES:

@@ -298,7 +298,7 @@ def _validated_segment(path: str, seg: Any, file_size: int, data_start: int):
 
 
 def read_store_file(
-    path: str, mmap_mode: Optional[str] = "r", verify: bool = True
+    path: str, mmap_mode: Optional[str] = "r"
 ) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
     """``(kind, meta, arrays)`` from a store file.
 
@@ -310,10 +310,8 @@ def read_store_file(
     refused: the store's sharing semantics rest on mappings being
     read-only.
 
-    ``verify=True`` recomputes the content hash over the mapped
-    segments (touches every payload page once); ``verify=False`` skips
-    it for callers who just verified the same file — the process-policy
-    workers attaching a path their coordinator already opened.
+    Every read recomputes the content hash over the mapped segments
+    (touching every payload page once).
 
     Every failure mode — missing file, truncation, bad magic, wrong
     version, malformed header, hash mismatch — raises
@@ -370,20 +368,19 @@ def read_store_file(
                 f"store file {path!r} has duplicate segment {name!r}"
             )
         arrays[name] = segment(offset, nbytes, dtype, shape)
-    if verify:
-        segments = [
-            {"name": n, "dtype": d, "shape": list(s)}
-            for n, d, s, _, _ in specs
-        ]
-        actual = _content_hash(
-            kind, meta, segments, (a.tobytes() for a in arrays.values())
+    segments = [
+        {"name": n, "dtype": d, "shape": list(s)}
+        for n, d, s, _, _ in specs
+    ]
+    actual = _content_hash(
+        kind, meta, segments, (a.tobytes() for a in arrays.values())
+    )
+    if actual != header["content_hash"]:
+        raise StoreError(
+            f"store file {path!r} fails content-hash verification "
+            f"(stored {header['content_hash'][:12]}..., computed "
+            f"{actual[:12]}...): the file is corrupt"
         )
-        if actual != header["content_hash"]:
-            raise StoreError(
-                f"store file {path!r} fails content-hash verification "
-                f"(stored {header['content_hash'][:12]}..., computed "
-                f"{actual[:12]}...): the file is corrupt"
-            )
     return kind, meta, arrays
 
 

@@ -60,7 +60,7 @@ COUNT_RAW = ServiceSpec(ServiceModel.COUNT, psi=PSI, normalize=False)
 COUNT_NORM = ServiceSpec(ServiceModel.COUNT, psi=PSI)
 LENGTH = ServiceSpec(ServiceModel.LENGTH, psi=PSI)
 
-POLICIES = ("serial", "threads", "processes")
+POLICIES = ("serial", "threads", "auto")
 
 #: The three window settings the differential matrix sweeps: off (the
 #: baseline schedule), small (groups may fragment mid-wave), large

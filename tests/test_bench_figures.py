@@ -120,7 +120,7 @@ class TestRuntimeAwareSweeps:
     structure as the legacy path."""
 
     @pytest.mark.parametrize(
-        "spec", ["serial:1", "threads:2:2", "processes:2:2"]
+        "spec", ["serial:1", "threads:2:2", "auto:2:2"]
     )
     def test_fig6a_structure_under_policies(self, monkeypatch, spec):
         from repro.bench.harness import parse_runtime_spec

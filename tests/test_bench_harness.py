@@ -151,8 +151,8 @@ class TestWorkloadFactory:
 
 class TestParseRuntimeSpec:
     def test_policy_only(self):
-        cfg = parse_runtime_spec("processes")
-        assert cfg.policy is ExecutionPolicy.PROCESSES
+        cfg = parse_runtime_spec("auto")
+        assert cfg.policy is ExecutionPolicy.AUTO
         assert cfg.shards == SHARDS_AUTO
         assert cfg.max_workers is None
         assert cfg.backend is ProximityBackend.AUTO
@@ -167,16 +167,16 @@ class TestParseRuntimeSpec:
         assert parse_runtime_spec("serial:auto").shards == SHARDS_AUTO
 
     def test_bad_specs_raise(self):
-        from repro.core.errors import QueryError
-
         with pytest.raises(ValueError):
             parse_runtime_spec("  ")
         with pytest.raises(ValueError):
             parse_runtime_spec("threads:1:2:3")
         with pytest.raises(ValueError):
-            parse_runtime_spec("processes::4")  # empty field is a typo
-        with pytest.raises(QueryError):
+            parse_runtime_spec("threads::4")  # empty field is a typo
+        with pytest.raises(ValueError):
             parse_runtime_spec("fibers")
+        with pytest.raises(ValueError):
+            parse_runtime_spec("processes:7:4")  # the deleted policy
 
 
 class TestTiming:

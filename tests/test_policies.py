@@ -1,26 +1,17 @@
 """Differential suite for the pluggable execution policies.
 
 The contract: ``RuntimeConfig.policy`` — ``serial`` / ``threads`` /
-``processes`` — never changes an answer.  Masks must be bit-identical to
+``auto`` — never changes an answer.  Masks must be bit-identical to
 the dense oracle for every policy at every shard count, per-shard
 ``QueryStats`` must merge to exactly the unsharded totals under every
 policy, and the full query stack (evaluate / kMaxRRST / MaxkCovRST /
 batch engine) must return ``==`` results when routed through any policy.
-
-The processes policy additionally ships shard arrays through
-``multiprocessing.shared_memory``; its lifecycle (lazy pool, export
-caching, unlink-on-close, degrade-to-serial after close) is covered
-here too.
-
-Set ``REPRO_MP_START_METHOD=spawn`` (CI does, mirroring the
-macOS/Windows default) to run every process-policy case under the
-``spawn`` start method instead of the platform default.
+A pool's lifecycle (lazy build, degrade-to-serial after close) is
+covered here too.
 """
 
 from __future__ import annotations
 
-import os
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -50,19 +41,14 @@ from repro.runtime import coerce_runtime
 from repro.runtime.policies import (
     AUTO_POLICY_MIN_POINTS,
     AutoPolicyExecutor,
-    ProcessPolicyExecutor,
     SerialPolicyExecutor,
     ThreadPolicyExecutor,
     make_policy_executor,
 )
 
-#: The ISSUE-3 acceptance matrix.
-POLICIES = ("serial", "threads", "processes")
+#: Every execution policy, against every shard count below.
+POLICIES = ("serial", "threads", "auto")
 SHARD_COUNTS = (1, 2, 7)
-
-#: CI exports this to re-run the whole suite under the macOS/Windows
-#: default start method; unset, the platform default applies.
-START_METHOD = os.environ.get("REPRO_MP_START_METHOD") or None
 
 
 def _config(policy: str, shards: int, max_workers: int = 2) -> RuntimeConfig:
@@ -71,7 +57,6 @@ def _config(policy: str, shards: int, max_workers: int = 2) -> RuntimeConfig:
         policy=policy,
         shards=shards,
         max_workers=max_workers,
-        start_method=START_METHOD if policy == "processes" else None,
     )
 
 
@@ -201,24 +186,30 @@ class TestQueryStackUnderPolicies:
                 result = BatchQueryEngine(taxi_users, runtime=rt).run(requests)
                 assert rt.stats == result.stats
                 totals.append(rt.stats)
-        assert totals[0] == totals[1] == totals[2]
+        assert all(t == totals[0] for t in totals)
 
 
 class TestPolicyConfig:
     def test_string_policy_coerces(self):
-        assert RuntimeConfig(policy="processes").policy is (
-            ExecutionPolicy.PROCESSES
+        assert RuntimeConfig(policy="threads").policy is (
+            ExecutionPolicy.THREADS
         )
         assert RuntimeConfig(policy="serial").policy is ExecutionPolicy.SERIAL
         assert RuntimeConfig().policy is ExecutionPolicy.THREADS
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(QueryError):
-            RuntimeConfig(policy="fibers")
+    def test_unknown_policy_rejected(self, capsys):
+        from repro.serve import main as serve_main
 
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(QueryError):
-            RuntimeConfig(start_method="teleport")
+        for name in ("fibers", "processes"):
+            with pytest.raises(QueryError) as excinfo:
+                RuntimeConfig(policy=name)
+            for valid in ("serial", "threads", "auto"):
+                assert valid in str(excinfo.value), name
+            # the serve CLI refuses it as a usage error, before binding
+            with pytest.raises(SystemExit) as exit_info:
+                serve_main(["--policy", name])
+            assert exit_info.value.code == 2, name
+            assert "--policy" in capsys.readouterr().err
 
     def test_factory_builds_matching_executor(self):
         assert isinstance(
@@ -229,11 +220,9 @@ class TestPolicyConfig:
             make_policy_executor(RuntimeConfig(policy="threads")),
             ThreadPolicyExecutor,
         )
-        proc = make_policy_executor(
-            RuntimeConfig(policy="processes", max_workers=2)
-        )
-        assert isinstance(proc, ProcessPolicyExecutor)
-        proc.close()
+        auto = make_policy_executor(RuntimeConfig(policy="auto"))
+        assert isinstance(auto, AutoPolicyExecutor)
+        auto.close()
 
     def test_legacy_shim_runtime_is_serial(self):
         with pytest.warns(DeprecationWarning):
@@ -246,65 +235,27 @@ class TestPolicyConfig:
             assert rt.executor is None
         with QueryRuntime(_config("threads", 2)) as rt:
             assert hasattr(rt.executor, "map")  # a real Executor
-        with QueryRuntime(_config("processes", 2)) as rt:
+        with QueryRuntime(_config("auto", 2)) as rt:
             assert hasattr(rt.executor, "probe_shards")  # the fan-out
         # 0 workers keeps any policy serial
-        with QueryRuntime(_config("processes", 2, max_workers=0)) as rt:
-            assert rt.executor is None
+        for policy in POLICIES:
+            with QueryRuntime(_config(policy, 2, max_workers=0)) as rt:
+                assert rt.executor is None
 
 
-class TestProcessPolicyLifecycle:
+class TestPolicyLifecycle:
     def test_dressed_sets_survive_close(self):
         """A stop set dressed before close() must degrade to serial
         probing — identical answers, no scheduling on a dead pool."""
         rng = np.random.default_rng(5)
         coords = rng.uniform(0, 500, (256, 2))
         probe = rng.uniform(0, 500, (128, 2))
-        rt = QueryRuntime(_config("processes", 4))
+        rt = QueryRuntime(_config("threads", 4))
         dressed = rt.stop_set(StopSet(coords), 10.0)
         before = dressed.covered_mask(probe, 10.0)
         rt.close()
         after = dressed.covered_mask(probe, 10.0)  # must not raise
         np.testing.assert_array_equal(before, after)
-
-    def test_close_unlinks_shared_memory(self):
-        rng = np.random.default_rng(6)
-        coords = rng.uniform(0, 2_000, (4_000, 2))
-        probe = rng.uniform(0, 2_000, (512, 2))
-        rt = QueryRuntime(_config("processes", 4))
-        mask = rt.probe_mask(coords, probe, 25.0)
-        assert mask.shape == (512,)
-        executor = rt.policy_executor
-        names = [
-            desc[0]
-            for _, _, descs in executor._exports.values()
-            for desc in descs
-        ]
-        assert names, "the probe should have exported shard segments"
-        rt.close()
-        assert not executor._exports
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_export_cache_is_bounded(self):
-        executor = ProcessPolicyExecutor(max_workers=2, max_exports=4)
-        try:
-            from repro.engine.shards import ShardedStopGrid
-
-            rng = np.random.default_rng(7)
-            grid = ShardedStopGrid(rng.uniform(0, 2_000, (4_000, 2)), 25.0, 7)
-            for shard in grid.shards:
-                if shard.n_stops:
-                    executor._shard_descriptor(shard)
-            assert len(executor._exports) <= 4
-            # a cached shard re-serves its descriptor (no re-export)
-            live = next(iter(executor._exports.values()))[0]
-            before = len(executor._exports)
-            executor._shard_descriptor(live)
-            assert len(executor._exports) == before
-        finally:
-            executor.close()
 
 
 class TestLegacyShimsCompleted:

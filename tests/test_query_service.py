@@ -18,7 +18,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import logging
-import multiprocessing
 import threading
 import time
 
@@ -58,7 +57,7 @@ ENDPOINT = ServiceSpec(ServiceModel.ENDPOINT, psi=PSI)
 LENGTH = ServiceSpec(ServiceModel.LENGTH, psi=PSI)
 
 #: The acceptance matrix: every policy the runtime schedules under.
-POLICIES = ("serial", "threads", "processes")
+POLICIES = ("serial", "threads", "auto")
 
 
 def _config(policy: str) -> RuntimeConfig:
@@ -702,30 +701,6 @@ class TestAsyncSmoke:
 
 
 class TestServiceLifecycle:
-    def test_service_prepares_process_workers_eagerly(self):
-        """Fork safety: a processes runtime handed to a service must
-        have its workers launched at construction (from the clean,
-        pre-bridge-thread state), not lazily from a bridge thread."""
-        with QueryRuntime(_config("processes")) as rt:
-            assert rt.policy_executor._pool is None  # lazy until prepared
-            service = QueryService(rt)
-            try:
-                pool = rt.policy_executor._pool
-                assert pool is not None
-                # under fork — the hazard case — the first submit
-                # launches EVERY worker before the pool's manager
-                # thread exists (gh-90622 excludes fork from on-demand
-                # spawning); spawn/forkserver launch on demand but
-                # never fork() this multi-threaded parent
-                expected = (
-                    rt.policy_executor._workers
-                    if multiprocessing.get_start_method() == "fork"
-                    else 1
-                )
-                assert len(pool._processes) >= expected
-            finally:
-                service.close()
-
     def test_rebind_refused_while_orphaned_core_runs(self, tree, facilities):
         """A core kept running by a cancelled submission must block loop
         rebinding — a fresh loop would reset the unit table and let a
