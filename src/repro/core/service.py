@@ -302,10 +302,13 @@ def brute_force_matches(
 # ----------------------------------------------------------------------
 # combined (MaxkCovRST) coverage
 # ----------------------------------------------------------------------
+_NONE_COVERED: frozenset = frozenset()
+
+
 class CoverageState:
     """Per-user covered point indices under union semantics.
 
-    Supports the greedy MaxkCovRST loop: ``gain`` prices a candidate's
+    Supports the greedy MaxkCovRST loop: ``price`` prices a candidate's
     marginal contribution, ``add`` commits it.  The objective for every
     :class:`ServiceModel` is derived from the covered index sets, so one
     state serves all scenarios.
@@ -317,6 +320,8 @@ class CoverageState:
         if len(self._users) != len(users):
             raise QueryError("duplicate trajectory ids in user set")
         self._covered: Dict[int, Set[int]] = {}
+        # each covered user's value, so pricing computes only the new one
+        self._user_values: Dict[int, float] = {}
         self._value = 0.0
 
     # ------------------------------------------------------------------
@@ -331,6 +336,7 @@ class CoverageState:
         clone.spec = self.spec
         clone._users = self._users
         clone._covered = {tid: set(idx) for tid, idx in self._covered.items()}
+        clone._user_values = dict(self._user_values)
         clone._value = self._value
         return clone
 
@@ -342,42 +348,42 @@ class CoverageState:
         return score_from_indices(self._users[traj_id], covered, self.spec)
 
     # ------------------------------------------------------------------
-    def gain(self, matches: Mapping[int, Iterable[int]]) -> float:
-        """Marginal combined-service gain of adding ``matches``.
+    def price(self, matches: Mapping[int, Iterable[int]]) -> Tuple[float, int]:
+        """``(gain, new coverage count)`` of adding ``matches``, from one
+        pass over them; the state is not modified.
 
         ``matches`` maps ``traj_id`` to the point indices the candidate
-        facility serves.  The state is not modified.
+        facility serves.  The gain is the marginal combined-service gain.
+        The count is how many (user, point-index) slots would be newly
+        covered: a secondary greedy signal, because under the
+        non-submodular combined objective a facility can have zero
+        *objective* gain yet make progress toward it (e.g. covering only
+        sources when the objective needs source+destination).
         """
         delta = 0.0
-        for traj_id, idx in matches.items():
-            if traj_id not in self._users:
-                raise QueryError(f"matches refer to unknown user {traj_id}")
-            old = self._covered.get(traj_id, set())
-            new = old | set(idx)
-            if len(new) != len(old):
-                delta += self._user_value(traj_id, new) - self._user_value(
-                    traj_id, old
-                )
-        return delta
-
-    def new_coverage_count(self, matches: Mapping[int, Iterable[int]]) -> int:
-        """How many (user, point-index) slots ``matches`` would newly cover.
-
-        Used as a secondary greedy signal: under the non-submodular
-        combined objective a facility can have zero *objective* gain yet
-        make progress toward it (e.g. covering only sources when the
-        objective needs source+destination).  The state is not modified.
-        """
         count = 0
         for traj_id, idx in matches.items():
             if traj_id not in self._users:
                 raise QueryError(f"matches refer to unknown user {traj_id}")
-            old = self._covered.get(traj_id)
-            if old is None:
-                count += len(set(idx))
-            else:
-                count += sum(1 for i in set(idx) if i not in old)
-        return count
+            old = self._covered.get(traj_id, _NONE_COVERED)
+            new = old.union(idx)
+            added = len(new) - len(old)
+            if added:
+                delta += self._user_value(traj_id, new) - self._user_values.get(
+                    traj_id, 0.0
+                )
+                count += added
+        return delta, count
+
+    def gain(self, matches: Mapping[int, Iterable[int]]) -> float:
+        """Marginal combined-service gain of adding ``matches`` (the
+        first half of :meth:`price`)."""
+        return self.price(matches)[0]
+
+    def new_coverage_count(self, matches: Mapping[int, Iterable[int]]) -> int:
+        """How many (user, point-index) slots ``matches`` would newly
+        cover (the second half of :meth:`price`)."""
+        return self.price(matches)[1]
 
     def add(self, matches: Mapping[int, Iterable[int]]) -> float:
         """Commit ``matches`` to the state; returns the realised gain."""
@@ -386,9 +392,10 @@ class CoverageState:
             if traj_id not in self._users:
                 raise QueryError(f"matches refer to unknown user {traj_id}")
             old = self._covered.setdefault(traj_id, set())
-            before = self._user_value(traj_id, old) if old else 0.0
+            before = self._user_values.get(traj_id, 0.0)
             old.update(int(i) for i in idx)
-            delta += self._user_value(traj_id, old) - before
+            after = self._user_values[traj_id] = self._user_value(traj_id, old)
+            delta += after - before
         self._value += delta
         return delta
 

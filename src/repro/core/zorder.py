@@ -389,21 +389,24 @@ class AdaptiveZGrid:
             self._leaf_cache = (zids, boxes)
         return self._leaf_cache
 
-    def cells_serving(
+    def leaf_zids(self) -> List[ZID]:
+        """Leaf ids in Z order; :meth:`serving_leaves` indexes this list."""
+        return self._leaf_arrays()[0]
+
+    def serving_leaves(
         self,
         embr: BBox,
         stops: Optional[np.ndarray] = None,
         psi: float = 0.0,
-    ) -> List[ZID]:
-        """Leaf cells the facility component can serve, vectorised.
+    ) -> np.ndarray:
+        """Positions in :meth:`leaf_zids` of the leaf cells the facility
+        component can serve, ascending.
 
         A cell qualifies when it intersects ``embr`` and — if ``stops``
         are given — lies within ``psi`` of at least one stop (the true
         union-of-discs serving area, tighter than the EMBR box).
         """
-        zids, boxes = self._leaf_arrays()
-        if not zids:
-            return []
+        _, boxes = self._leaf_arrays()
         xmin, ymin, xmax, ymax = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
         mask = (
             (xmin <= embr.xmax)
@@ -411,17 +414,15 @@ class AdaptiveZGrid:
             & (ymin <= embr.ymax)
             & (ymax >= embr.ymin)
         )
-        if stops is not None and stops.shape[0] > 0 and mask.any():
-            idx = np.nonzero(mask)[0]
+        idx = np.flatnonzero(mask)
+        if stops is not None and stops.shape[0] > 0 and idx.size:
             # nearest point of each candidate box to each stop
             nx = np.clip(stops[None, :, 0], xmin[idx, None], xmax[idx, None])
             ny = np.clip(stops[None, :, 1], ymin[idx, None], ymax[idx, None])
             dx = nx - stops[None, :, 0]
             dy = ny - stops[None, :, 1]
-            near = np.any(dx * dx + dy * dy <= psi * psi, axis=1)
-            keep = idx[near]
-            return [zids[i] for i in keep]
-        return [zids[i] for i in np.nonzero(mask)[0]]
+            idx = idx[np.any(dx * dx + dy * dy <= psi * psi, axis=1)]
+        return idx
 
     def leaf_cells(self) -> Iterator[Tuple[ZID, BBox]]:
         """All leaf cells as ``(zid, box)`` pairs, in Z order."""

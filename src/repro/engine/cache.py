@@ -8,11 +8,12 @@ per-facility match sets, and batched multi-model queries re-derive the
 identical ``psi``-mask once per service model.  :class:`CoverageCache`
 memoises the three shapes of that repeated work:
 
-* **node results** — per ``(facility, q-node, psi, mode)`` candidate
-  lists and coverage masks from Algorithm 2 (the component a facility
-  induces at a q-node is deterministic, so the pair's mask is too;
-  collecting and non-collecting walks select different candidates, so
-  mode is part of the key and reuse is within-mode);
+* **node results** — per ``(facility, q-node version, psi, mode)``
+  candidate position arrays and coverage masks from Algorithm 2 (the
+  component a facility induces at a q-node is deterministic, so the
+  pair's mask is too; collecting and non-collecting walks select
+  different candidates, so mode is part of the key and reuse is
+  within-mode);
 * **match sets** — per-facility served-point-index maps (the input to
   the greedy / genetic / exact MaxkCovRST solvers);
 * **batch masks** — per ``(stop set, psi)`` coverage masks over a batch
@@ -25,8 +26,10 @@ results, the facility object by identity for match sets, the stop-set
 object by identity for batch masks — so neither ``id`` reuse after
 garbage collection nor two facilities sharing a ``facility_id`` can
 alias to a wrong cached answer; a failed verification is simply a
-miss.  A cache is only valid for a fixed user set / tree: drop it (or
-:meth:`clear`) when the underlying data changes.
+miss.  The query layer puts the q-node's version (and, for match sets,
+the tree's) into its keys, so entries cached before a ``TQTree.insert``
+are never served after it; any other change to the underlying data
+needs a fresh cache (or :meth:`clear`).
 
 **Thread safety.**  A cache shared by a :class:`repro.service
 .QueryService` is read and written from the service's bridge threads
@@ -55,7 +58,9 @@ class CoverageCache:
     """Memoises coverage masks, node candidate sets, and match sets."""
 
     def __init__(self) -> None:
-        self._nodes: Dict[Hashable, Tuple[Any, np.ndarray, list, np.ndarray]] = {}
+        self._nodes: Dict[
+            Hashable, Tuple[Any, np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
         self._matches: Dict[Hashable, Tuple[Any, Mapping]] = {}
         self._masks: Dict[Hashable, Tuple[Any, np.ndarray, np.ndarray]] = {}
         self._match_fns: Dict[int, Callable] = {}
@@ -91,7 +96,7 @@ class CoverageCache:
         key: Hashable,
         node: Any,
         stop_coords: np.ndarray,
-        candidates: list,
+        candidates: np.ndarray,
         mask: np.ndarray,
     ) -> None:
         with self._lock:

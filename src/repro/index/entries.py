@@ -14,8 +14,9 @@ normalises all three into one shape:
   scores over the whole index never double-counts;
 * *probe points* — the union of everything scoring can ever need
   (owned points, owned-segment endpoints, the trajectory ends), with
-  their coordinates precomputed as a NumPy block so node evaluation can
-  distance-check *all* candidates of a node in one vectorised call.
+  their coordinates precomputed as a NumPy block.  Each q-node lays its
+  entries' probe points out flat (:mod:`repro.index.nodearrays`) so node
+  evaluation can score *all* candidates of a node in a few vector ops.
 
 :class:`SubBounds` is the per-node aggregate the paper calls ``sub``: the
 upper bound of the service value obtainable from a subtree, in the unit of
@@ -49,9 +50,6 @@ class IndexEntry:
         "own_seg_idx",
         "probe_idx",
         "probe_coords",
-        "own_probe_pos",
-        "seg_probe_pos",
-        "own_seg_lengths",
         "_bbox",
     )
 
@@ -78,19 +76,6 @@ class IndexEntry:
             probe.add(traj.n_points - 1)
         self.probe_idx: Tuple[int, ...] = tuple(sorted(probe))
         self.probe_coords: np.ndarray = traj.coords[list(self.probe_idx)]
-        # positions (within probe_idx) of the owned points and of each
-        # owned segment's endpoint pair — lets node evaluation score all
-        # candidates of a node with a few vector ops (no per-entry dicts)
-        pos_of = {idx: i for i, idx in enumerate(self.probe_idx)}
-        self.own_probe_pos: np.ndarray = np.array(
-            [pos_of[i] for i in own_point_idx], dtype=np.intp
-        )
-        self.seg_probe_pos: np.ndarray = np.array(
-            [(pos_of[s], pos_of[s + 1]) for s in own_seg_idx], dtype=np.intp
-        ).reshape(-1, 2)
-        self.own_seg_lengths: np.ndarray = np.array(
-            [traj.segment_lengths[s] for s in own_seg_idx], dtype=np.float64
-        )
         self._bbox: Optional[BBox] = None
 
     # ------------------------------------------------------------------

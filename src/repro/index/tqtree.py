@@ -35,6 +35,7 @@ from ..core.geometry import BBox, bbox_of_points
 from ..core.service import ServiceSpec
 from ..core.trajectory import Trajectory
 from .entries import IndexEntry, SubBounds, make_entries, validate_spec_for_variant
+from .nodearrays import NodeArrays
 from .zindex import ZOrderedList
 
 __all__ = ["QNode", "TQTree"]
@@ -50,9 +51,9 @@ class QNode:
         "children",
         "entries",
         "sub",
+        "version",
         "_zlist",
-        "_z_dirty",
-        "_gov_cache",
+        "_arrays",
     )
 
     def __init__(self, box: BBox, depth: int, parent: Optional["QNode"]) -> None:
@@ -62,9 +63,11 @@ class QNode:
         self.children: Optional[List["QNode"]] = None
         self.entries: List[IndexEntry] = []  # UL(E)
         self.sub = SubBounds()
-        self._zlist: Optional[ZOrderedList] = None
-        self._z_dirty = True
-        self._gov_cache: Optional["np.ndarray"] = None
+        #: Bumped whenever ``entries`` changes; the z-structure, the
+        #: flat arrays and the query caches' node entries are keyed on it.
+        self.version = 0
+        self._zlist: Optional[Tuple[int, Optional[ZOrderedList]]] = None
+        self._arrays: Optional[NodeArrays] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -72,28 +75,33 @@ class QNode:
 
     def zlist(self, beta: int, z_max_depth: int) -> Optional[ZOrderedList]:
         """The node's z-structure, (re)built lazily after updates."""
-        if self._z_dirty:
-            self._zlist = (
+        if self._zlist is None or self._zlist[0] != self.version:
+            zlist = (
                 ZOrderedList(self.box, self.entries, beta, z_max_depth)
                 if self.entries
                 else None
             )
-            self._z_dirty = False
-        return self._zlist
+            self._zlist = (self.version, zlist)
+        return self._zlist[1]
 
-    def gov_arrays(self) -> "np.ndarray":
-        """Per-entry filter block, cached: columns are governing start
-        (x, y), governing end (x, y), and the entry bbox (xmin, ymin,
-        xmax, ymax).  This is what lets the TQ(B) linear scan filter a
-        whole node list with a handful of vector comparisons."""
-        if self._gov_cache is None or self._gov_cache.shape[0] != len(self.entries):
-            rows = np.empty((len(self.entries), 8), dtype=np.float64)
-            for i, e in enumerate(self.entries):
-                s, t = e.gov_start, e.gov_end
-                b = e.bbox
-                rows[i] = (s.x, s.y, t.x, t.y, b.xmin, b.ymin, b.xmax, b.ymax)
-            self._gov_cache = rows
-        return self._gov_cache
+    def arrays(self) -> NodeArrays:
+        """The flat arrays over ``entries`` at the current version,
+        (re)built lazily after updates."""
+        arrays = self._arrays
+        if arrays is None or arrays.version != self.version:
+            arrays = self._arrays = NodeArrays(self.entries, self.version)
+        return arrays
+
+    def gov_arrays(self) -> np.ndarray:
+        """Per-entry filter block (:attr:`NodeArrays.gov`): governing
+        start (x, y), governing end (x, y), and the entry bbox (xmin,
+        ymin, xmax, ymax)."""
+        return self.arrays().gov
+
+    def adopt_gov(self, table: np.ndarray) -> None:
+        """Take a persisted :meth:`gov_arrays` table for the current
+        version instead of deriving it."""
+        self._arrays = NodeArrays(self.entries, self.version, gov=table)
 
     def sub_value(self, spec: ServiceSpec) -> float:
         """The paper's ``sub``: subtree service upper bound for ``spec``."""
@@ -124,6 +132,9 @@ class TQTree:
         self._trajectories: Dict[int, Trajectory] = {}
         self._n_entries = 0
         self._max_traj_points = 0
+        #: Bumped by every :meth:`insert`; keys the per-facility match
+        #: sets cached over this tree.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -181,6 +192,7 @@ class TQTree:
 
     def _bulk_build(self, node: QNode, entries: List[IndexEntry]) -> None:
         cfg = self.config
+        node.version += 1
         if len(entries) <= cfg.beta or node.depth >= cfg.max_depth:
             node.entries = entries
             return
@@ -219,6 +231,7 @@ class TQTree:
     def insert(self, traj: Trajectory) -> None:
         """Insert one trajectory; O(h) descent per entry plus local splits."""
         self._register(traj)
+        self.version += 1
         for entry in make_entries(traj, self.config.variant):
             self._insert_entry(entry)
             self._n_entries += 1
@@ -232,14 +245,14 @@ class TQTree:
             node.sub.add(delta)
             if node.is_leaf:
                 node.entries.append(entry)
-                node._z_dirty = True
+                node.version += 1
                 if len(node.entries) > cfg.beta and node.depth < cfg.max_depth:
                     self._split_leaf(node)
                 return
             q = self._route(node, entry)
             if q is None:
                 node.entries.append(entry)
-                node._z_dirty = True
+                node.version += 1
                 return
             assert node.children is not None
             node = node.children[q]
@@ -259,10 +272,11 @@ class TQTree:
         boxes = node.box.quadrants()
         node.children = [QNode(boxes[d], node.depth + 1, node) for d in range(4)]
         node.entries = stay
-        node._z_dirty = True
+        node.version += 1
         for d in range(4):
             child = node.children[d]
             child.entries = groups[d]
+            child.version += 1
             for e in groups[d]:
                 child.sub.add_entry(e)
             if len(child.entries) > self.config.beta and child.depth < self.config.max_depth:

@@ -12,8 +12,11 @@ the ``zReduce`` pruning primitive (Section IV-A, Algorithm 2):
    (*z-nodes*) of at most ``beta`` entries.
 
 ``zReduce`` narrows a node's entry list to the entries whose z-cells meet
-the facility component's serving area, via binary searches on the sorted
-order — no geometry on pruned entries.
+the facility component's serving area: the grid selects the serving leaf
+cells, and each entry's precomputed leaf index looks its cell up — no
+geometry on pruned entries.  Candidates come back as positions into the
+entry list the structure was built from (the q-node's list), in sorted
+order.
 
 Three candidate modes cover the service models soundly (DESIGN.md §4.2):
 
@@ -28,13 +31,14 @@ Three candidate modes cover the service models soundly (DESIGN.md §4.2):
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..core.errors import IndexError_
 from ..core.geometry import BBox, Point
-from ..core.zorder import ZID, AdaptiveZGrid
+from ..core.zorder import AdaptiveZGrid
 from .entries import IndexEntry
 
 __all__ = ["ZOrderedList", "RegionTest", "embr_region_test", "disc_region_test"]
@@ -137,19 +141,26 @@ class ZOrderedList:
                     self.end_grid.zid_of(e.gov_end).digits,
                     e.entry_id,
                 ),
-                e,
+                i,
             )
-            for e in entries
+            for i, e in enumerate(entries)
         )
         self._keys: List[_Key] = [k for k, _ in keyed]
-        self.entries: List[IndexEntry] = [e for _, e in keyed]
-
-        # secondary order for end-driven range selection
-        keyed_end = sorted(
-            ((k[1], k[0], k[2]), i) for i, k in enumerate(self._keys)
+        #: ``node_pos[z]`` is the position in ``entries`` (the q-node's
+        #: list) of the entry at sorted position ``z``.
+        self.node_pos: np.ndarray = np.array(
+            [i for _, i in keyed], dtype=np.intp
         )
-        self._end_keys: List[_Key] = [k for k, _ in keyed_end]
-        self._end_perm: List[int] = [i for _, i in keyed_end]
+        self.entries: List[IndexEntry] = [entries[i] for _, i in keyed]
+
+        # per sorted entry: the index of its start / end leaf cell in the
+        # grid's Z-ordered leaf list, and its bbox, for vector selection
+        self._start_leaf = self._leaf_positions(self.start_grid, 0)
+        self._end_leaf = self._leaf_positions(self.end_grid, 1)
+        boxes = [e.bbox for e in self.entries]
+        self._bboxes = np.array(
+            [(b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes], dtype=np.float64
+        ).reshape(-1, 4)
 
         self._buckets: List[_Bucket] = self._build_buckets()
 
@@ -207,73 +218,68 @@ class ZOrderedList:
     def bucket_sizes(self) -> List[int]:
         return [b.hi - b.lo for b in self._buckets]
 
-    # ------------------------------------------------------------------
-    # range selection machinery
-    # ------------------------------------------------------------------
-    def _ranges_for_cells(
-        self, keys: List[_Key], cells: List[ZID]
-    ) -> List[Tuple[int, int]]:
-        """Sorted-order index ranges holding the given leaf cells' entries."""
-        ranges: List[Tuple[int, int]] = []
-        for cell in cells:
-            lo = bisect_left(keys, (cell.digits,))
-            high = cell.range_high()
-            hi = len(keys) if high is None else bisect_left(keys, (high.digits,))
-            if lo < hi:
-                ranges.append((lo, hi))
-        return ranges
+    def _leaf_positions(self, grid: AdaptiveZGrid, part: int) -> np.ndarray:
+        """Per sorted entry: position of its ``_keys[part]`` cell in
+        ``grid.leaf_zids()``."""
+        pos = {z.digits: j for j, z in enumerate(grid.leaf_zids())}
+        return np.array([pos[k[part]] for k in self._keys], dtype=np.intp)
+
+    def _served(
+        self,
+        grid: AdaptiveZGrid,
+        leaf_of: np.ndarray,
+        embr: BBox,
+        stops: Optional[np.ndarray],
+        psi: float,
+    ) -> np.ndarray:
+        """Per sorted entry: does its cell in ``grid`` meet the serving
+        area?"""
+        hit = np.zeros(len(grid.leaf_zids()), dtype=bool)
+        hit[grid.serving_leaves(embr, stops, psi)] = True
+        return hit[leaf_of]
 
     # ------------------------------------------------------------------
     # the three zReduce candidate modes
     # ------------------------------------------------------------------
     def candidates_both(
         self, embr: BBox, stops=None, psi: float = 0.0
-    ) -> List[IndexEntry]:
+    ) -> np.ndarray:
         """Entries whose start *and* end z-cells meet the serving area.
 
         This is the paper's two-step zReduce (Example 4): reduce by start
-        z-ids first (binary-searched ranges of the sorted order), then by
-        end z-ids (membership in the allowed end-cell set).  ``stops``
-        (an ``(m, 2)`` array) tightens cell selection from the EMBR box to
-        the true union-of-discs serving area.
+        z-ids, then by end z-ids.  ``stops`` (an ``(m, 2)`` array)
+        tightens cell selection from the EMBR box to the true
+        union-of-discs serving area.
+
+        Like every candidate mode, returns positions in the ``entries``
+        the list was built from (``intp``), in sorted (z) order.
         """
-        allowed_ends = {
-            c.digits for c in self.end_grid.cells_serving(embr, stops, psi)
-        }
-        if not allowed_ends:
-            return []
-        start_cells = self.start_grid.cells_serving(embr, stops, psi)
-        out: List[IndexEntry] = []
-        for lo, hi in self._ranges_for_cells(self._keys, start_cells):
-            for i in range(lo, hi):
-                if self._keys[i][1] in allowed_ends:
-                    out.append(self.entries[i])
-        return out
+        keep = self._served(
+            self.start_grid, self._start_leaf, embr, stops, psi
+        ) & self._served(self.end_grid, self._end_leaf, embr, stops, psi)
+        return self.node_pos[keep]
 
     def candidates_any(
         self, embr: BBox, stops=None, psi: float = 0.0
-    ) -> List[IndexEntry]:
+    ) -> np.ndarray:
         """Entries whose start *or* end z-cell meets the serving area."""
-        picked: Set[int] = set()
-        start_cells = self.start_grid.cells_serving(embr, stops, psi)
-        for lo, hi in self._ranges_for_cells(self._keys, start_cells):
-            picked.update(range(lo, hi))
-        end_cells = self.end_grid.cells_serving(embr, stops, psi)
-        for lo, hi in self._ranges_for_cells(self._end_keys, end_cells):
-            picked.update(self._end_perm[i] for i in range(lo, hi))
-        return [self.entries[i] for i in sorted(picked)]
+        keep = self._served(
+            self.start_grid, self._start_leaf, embr, stops, psi
+        ) | self._served(self.end_grid, self._end_leaf, embr, stops, psi)
+        return self.node_pos[keep]
 
-    def candidates_bbox(self, embr: BBox) -> List[IndexEntry]:
-        """Entries whose own bbox meets ``embr``, pruned bucket-first.
+    def candidates_bbox(self, embr: BBox) -> np.ndarray:
+        """Entries whose own bbox meets ``embr``.
 
-        Sound for FULL-variant entries: a bucket's bbox covers every point
-        of every member entry, so skipped buckets cannot contribute.
+        Sound for FULL-variant entries, whose bbox covers every point they
+        own.  (A z-node bucket's bbox is the union of its entries' boxes,
+        so bucket-first pruning would keep exactly the same entries.)
         """
-        out: List[IndexEntry] = []
-        for bucket in self._buckets:
-            if not bucket.bbox.intersects(embr):
-                continue
-            for i in range(bucket.lo, bucket.hi):
-                if self.entries[i].bbox.intersects(embr):
-                    out.append(self.entries[i])
-        return out
+        b = self._bboxes
+        keep = (
+            (b[:, 0] <= embr.xmax)
+            & (b[:, 2] >= embr.xmin)
+            & (b[:, 1] <= embr.ymax)
+            & (b[:, 3] >= embr.ymin)
+        )
+        return self.node_pos[keep]

@@ -11,10 +11,17 @@ Algorithm 2 is where the two-phase pruning happens:
 * on a TQ(Z) node, ``zReduce`` narrows the entry list through the
   z-ordered structure (:meth:`ZOrderedList.candidates_*`);
 * on a TQ(B) node the list is scanned linearly with only a cheap
-  per-entry envelope check (this *is* the paper's TQ(B): no ordering to
-  exploit);
+  envelope check over the node's filter block (this *is* the paper's
+  TQ(B): no ordering to exploit);
 * surviving candidates get exact ``psi``-distance scoring against the
   component's stops.
+
+Both candidate paths yield positions into the node's entry list, and
+scoring works on the node's flat arrays
+(:class:`~repro.index.nodearrays.NodeArrays`): one range-gather pulls
+the candidates' probe rows, one distance pass covers them all, and the
+service model's rule is a few vector operations over the covered rows
+(DESIGN.md §4.3).  No per-entry Python runs on the query path.
 
 A :class:`MatchCollector` can ride along to record *which* points of
 which users were served — MaxkCovRST needs these per-facility match sets
@@ -25,24 +32,26 @@ Acceleration plugs in through one object without changing any result: a
 whole probe path — every exact distance check goes through
 :meth:`~repro.runtime.QueryRuntime.probe_mask`, which dresses the
 component's stops for the runtime's backend and execution policy (dense
-broadcast, uniform stop grid, or sharded grid fanned out serially, over
-threads, or over a shared-memory process pool) — memoises each
-(facility, q-node) candidate list and coverage mask in the runtime's
-cache so a re-walk in the same mode — a repeated query for the same
-facility, ancestor scans across kMaxRRST relax rounds, solver ensembles
-sharing match sets — skips the geometric work, and accrues this
-evaluation's work counters into the runtime's grand total.  (Collecting
-and non-collecting walks select different candidate sets, so the cache
-keys them apart rather than sharing across them.)  No backend, grid, or
-cache type is plumbed through this module directly; the pre-runtime
-``backend=`` / ``cache=`` keywords remain as deprecated shims via
+broadcast, uniform stop grid, or sharded grid fanned out serially or
+over threads) — memoises each (facility, q-node) candidate array and
+coverage mask in the runtime's cache so a re-walk in the same mode — a
+repeated query for the same facility, ancestor scans across kMaxRRST
+relax rounds, solver ensembles sharing match sets — skips the
+geometric work and only re-runs the aggregation, and accrues this
+evaluation's work counters into the runtime's grand total.
+(Collecting and non-collecting walks select different candidate sets,
+so the cache keys them apart rather than sharing across them; the key
+also carries the node's version, so an insert into the tree retires
+the node's old entries.)  No backend, grid, or cache type is plumbed
+through this module directly; the pre-runtime ``backend=`` / ``cache=``
+keywords remain as deprecated shims via
 :func:`~repro.runtime.coerce_runtime`.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +60,7 @@ from ..core.errors import QueryError
 from ..core.service import ServiceModel, ServiceSpec
 from ..core.stats import QueryStats
 from ..core.trajectory import FacilityRoute
-from ..index.entries import IndexEntry
+from ..index.nodearrays import NodeArrays
 from ..index.tqtree import QNode, TQTree
 from ..runtime import QueryRuntime, coerce_runtime
 from .components import FacilityComponent, intersecting_components
@@ -67,17 +76,46 @@ __all__ = [
 
 
 class MatchCollector:
-    """Accumulates served point indices per user across an evaluation."""
+    """Accumulates served point indices per user across an evaluation.
+
+    Node scoring hands over the ``(user, point index)`` pair of every
+    covered probe row as two arrays; :meth:`as_dict` folds them.
+    """
 
     def __init__(self) -> None:
-        self.matches: Dict[int, Set[int]] = {}
+        self._tids: List[np.ndarray] = []
+        self._pidx: List[np.ndarray] = []
 
-    def record(self, traj_id: int, indices: Tuple[int, ...]) -> None:
-        if indices:
-            self.matches.setdefault(traj_id, set()).update(indices)
+    def extend(self, tids: np.ndarray, pidx: np.ndarray) -> None:
+        if tids.size:
+            self._tids.append(tids)
+            self._pidx.append(pidx)
 
     def as_dict(self) -> Dict[int, Tuple[int, ...]]:
-        return {tid: tuple(sorted(idx)) for tid, idx in self.matches.items()}
+        """``{traj_id: sorted distinct point indices}``, users in the
+        order they were first recorded (the greedy's summation order
+        follows it)."""
+        if not self._tids:
+            return {}
+        tids = np.concatenate(self._tids)
+        pidx = np.concatenate(self._pidx)
+        users, first = np.unique(tids, return_index=True)
+        order = np.lexsort((pidx, tids))
+        tids, pidx = tids[order], pidx[order]
+        fresh = np.ones(tids.size, dtype=bool)
+        fresh[1:] = (tids[1:] != tids[:-1]) | (pidx[1:] != pidx[:-1])
+        tids, pidx = tids[fresh], pidx[fresh]
+        bounds = np.searchsorted(tids, users).tolist() + [tids.size]
+        points = pidx.tolist()
+        user_ids = users.tolist()
+        # users served at the same points share one tuple: runtime
+        # caches keep every facility's match set
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        out: Dict[int, Tuple[int, ...]] = {}
+        for u in np.argsort(first).tolist():
+            served = tuple(points[bounds[u] : bounds[u + 1]])
+            out[user_ids[u]] = shared.setdefault(served, served)
+        return out
 
 
 def needs_ancestor_scan(spec: ServiceSpec, variant: IndexVariant) -> bool:
@@ -116,7 +154,7 @@ def _zreduce_candidates(
     component: FacilityComponent,
     spec: ServiceSpec,
     collecting: bool,
-) -> Optional[List[IndexEntry]]:
+) -> Optional[np.ndarray]:
     """Apply zReduce on a TQ(Z) node; None means "no z-structure, scan".
 
     ``collecting`` switches to partial-tolerant candidate modes: combined
@@ -131,7 +169,7 @@ def _zreduce_candidates(
         return None
     embr = component.embr
     if embr is None:
-        return []
+        return np.zeros(0, dtype=np.intp)
     variant = tree.config.variant
     if variant is IndexVariant.FULL and (
         collecting or spec.model is not ServiceModel.ENDPOINT
@@ -144,43 +182,57 @@ def _zreduce_candidates(
 
 
 def _linear_candidates(
-    node: QNode,
+    gov: np.ndarray,
     component: FacilityComponent,
     spec: ServiceSpec,
     variant: IndexVariant,
     collecting: bool,
-) -> List[IndexEntry]:
+) -> np.ndarray:
     """TQ(B) path: linear scan of the whole node list with a vectorised
-    envelope check (the scan is what distinguishes TQ(B) from TQ(Z) —
-    no z-order ranges to jump to)."""
+    envelope check over the node's filter block ``gov`` (the scan is
+    what distinguishes TQ(B) from TQ(Z) — no z-order ranges to jump
+    to)."""
     embr = component.embr
     if embr is None:
-        return []
-    block = node.gov_arrays()
+        return np.zeros(0, dtype=np.intp)
     if not collecting and _requires_both_endpoints(spec, variant):
         mask = (
-            (block[:, 0] >= embr.xmin)
-            & (block[:, 0] <= embr.xmax)
-            & (block[:, 1] >= embr.ymin)
-            & (block[:, 1] <= embr.ymax)
-            & (block[:, 2] >= embr.xmin)
-            & (block[:, 2] <= embr.xmax)
-            & (block[:, 3] >= embr.ymin)
-            & (block[:, 3] <= embr.ymax)
+            (gov[:, 0] >= embr.xmin)
+            & (gov[:, 0] <= embr.xmax)
+            & (gov[:, 1] >= embr.ymin)
+            & (gov[:, 1] <= embr.ymax)
+            & (gov[:, 2] >= embr.xmin)
+            & (gov[:, 2] <= embr.xmax)
+            & (gov[:, 3] >= embr.ymin)
+            & (gov[:, 3] <= embr.ymax)
         )
     else:
         mask = (
-            (block[:, 4] <= embr.xmax)
-            & (block[:, 6] >= embr.xmin)
-            & (block[:, 5] <= embr.ymax)
-            & (block[:, 7] >= embr.ymin)
+            (gov[:, 4] <= embr.xmax)
+            & (gov[:, 6] >= embr.xmin)
+            & (gov[:, 5] <= embr.ymax)
+            & (gov[:, 7] >= embr.ymin)
         )
-    entries = node.entries
-    return [entries[i] for i in np.nonzero(mask)[0]]
+    # a fresh array: np.flatnonzero returns a view whose base would stay
+    # alive next to it in the runtime cache
+    return np.arange(mask.size)[mask]
+
+
+def _probe_rows(
+    probe_off: np.ndarray, candidates: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The candidates' probe rows, concatenated in candidate order, and
+    the CSR offsets of each candidate's run within that block."""
+    starts = probe_off[candidates]
+    lens = probe_off[candidates + 1] - starts
+    block_off = np.zeros(candidates.size + 1, dtype=np.intp)
+    np.cumsum(lens, out=block_off[1:])
+    rows = np.arange(block_off[-1]) + np.repeat(starts - block_off[:-1], lens)
+    return rows, block_off
 
 
 def _candidate_mask(
-    candidates: List[IndexEntry],
+    coords: np.ndarray,
     component: FacilityComponent,
     spec: ServiceSpec,
     stats: Optional[QueryStats],
@@ -188,108 +240,87 @@ def _candidate_mask(
 ) -> np.ndarray:
     """One vectorised distance pass over all candidates' probe points.
 
-    All candidates' probe points are stacked into a single coordinate
-    block and checked against the component's stops at once.  With a
-    runtime the check rides its probe path (backend dressing plus the
-    configured execution policy); without one it is the plain dense
+    With a runtime the check rides its probe path (backend dressing plus
+    the configured execution policy); without one it is the plain dense
     kernel.  Results are identical either way.
     """
-    coords = (
-        candidates[0].probe_coords
-        if len(candidates) == 1
-        else np.concatenate([e.probe_coords for e in candidates])
-    )
     if runtime is not None:
         return runtime.probe_mask(component.stops, coords, spec.psi, stats)
     return component.stops.covered_mask(coords, spec.psi, stats)
 
 
 def _aggregate_candidates(
-    candidates: List[IndexEntry],
+    arrays: NodeArrays,
+    rows: np.ndarray,
+    block_off: np.ndarray,
     mask: np.ndarray,
     spec: ServiceSpec,
-    collector: Optional[MatchCollector],
 ) -> float:
-    """Apply the service model's scoring rule per entry over ``mask``."""
-    if collector is None:
-        if spec.model is ServiceModel.ENDPOINT:
-            # Every candidate is a whole-trajectory entry whose sorted
-            # probe list starts at index 0 and ends at index n-1, so the
-            # score is simply "first and last probe covered".
-            so = 0.0
-            pos = 0
-            for entry in candidates:
-                k = len(entry.probe_idx)
-                if mask[pos] and mask[pos + k - 1]:
-                    so += 1.0
-                pos += k
-            return so
-        if spec.model is ServiceModel.COUNT:
-            return _batch_count(candidates, mask, spec)
-        return _batch_length(candidates, mask, spec)
-    # collecting mode: per-entry bookkeeping (MaxkCovRST match sets)
-    so = 0.0
-    pos = 0
-    for entry in candidates:
-        k = len(entry.probe_idx)
-        covered = dict(zip(entry.probe_idx, (bool(m) for m in mask[pos : pos + k])))
-        pos += k
-        so += entry.score_from_covered(covered, spec)
-        hit = tuple(i for i in entry.probe_idx if covered[i])
-        if hit:
-            collector.record(entry.traj.traj_id, hit)
-    return so
+    """The service model's score summed over all candidates, from the
+    coverage ``mask`` of their probe rows.
 
-
-def _batch_count(
-    candidates: List[IndexEntry], mask: np.ndarray, spec: ServiceSpec
-) -> float:
-    """COUNT scores for all candidates from one coverage mask."""
-    sel_parts = []
-    weights = []
-    pos = 0
-    for entry in candidates:
-        own = entry.own_probe_pos
-        if own.size:
-            sel_parts.append(own + pos)
-            w = 1.0 / entry.traj.n_points if spec.normalize else 1.0
-            weights.append(np.full(own.size, w))
-        pos += len(entry.probe_idx)
-    if not sel_parts:
-        return 0.0
-    sel = np.concatenate(sel_parts)
-    w = np.concatenate(weights)
-    return float(np.dot(mask[sel].astype(np.float64), w))
-
-
-def _batch_length(
-    candidates: List[IndexEntry], mask: np.ndarray, spec: ServiceSpec
-) -> float:
-    """LENGTH scores for all candidates from one coverage mask.
-
-    A segment contributes its length when both endpoint probes are
-    covered; normalisation divides by the owning trajectory's length.
+    The vectors handed to ``np.dot`` hold the owned-point (COUNT) or
+    owned-segment (LENGTH) rows in candidate order, then row order: the
+    order bit-identity with per-entry scoring needs (DESIGN.md §4.3).
     """
-    a_parts = []
-    b_parts = []
-    len_parts = []
-    pos = 0
-    for entry in candidates:
-        segs = entry.seg_probe_pos
-        if segs.size:
-            a_parts.append(segs[:, 0] + pos)
-            b_parts.append(segs[:, 1] + pos)
-            if spec.normalize:
-                total = entry.traj.length
-                scale = 1.0 / total if total > 0 else 0.0
-                len_parts.append(entry.own_seg_lengths * scale)
-            else:
-                len_parts.append(entry.own_seg_lengths)
-        pos += len(entry.probe_idx)
-    if not a_parts:
-        return 0.0
-    served = mask[np.concatenate(a_parts)] & mask[np.concatenate(b_parts)]
-    return float(np.dot(served.astype(np.float64), np.concatenate(len_parts)))
+    if spec.model is ServiceModel.ENDPOINT:
+        # every candidate is a whole-trajectory entry whose sorted probe
+        # run starts at point 0 and ends at point n-1
+        served = mask[block_off[:-1]] & mask[block_off[1:] - 1]
+        return float(np.count_nonzero(served))
+    if spec.model is ServiceModel.COUNT:
+        own = arrays.probe_own[rows]
+        if spec.normalize:
+            weights = arrays.probe_w[rows[own]]
+        else:
+            weights = np.ones(np.count_nonzero(own))
+        return float(np.dot(mask[own].astype(np.float64), weights))
+    # LENGTH: an owned segment spans a row and the next one
+    seg = np.flatnonzero(arrays.probe_seg[rows])
+    lengths = (
+        arrays.probe_seg_len_scaled if spec.normalize else arrays.probe_seg_len
+    )[rows[seg]]
+    served = mask[seg] & mask[seg + 1]
+    return float(np.dot(served.astype(np.float64), lengths))
+
+
+def _entry_scores(
+    arrays: NodeArrays,
+    candidates: np.ndarray,
+    rows: np.ndarray,
+    block_off: np.ndarray,
+    mask: np.ndarray,
+    spec: ServiceSpec,
+) -> np.ndarray:
+    """Per candidate, the score :meth:`IndexEntry.score_from_covered`
+    gives: the same arithmetic per entry (a segment sum accumulates in
+    segment order, normalisation divides), so each score is bitwise the
+    per-entry one."""
+    first, end = block_off[:-1], block_off[1:]
+    if spec.model is ServiceModel.ENDPOINT:
+        return (mask[first] & mask[end - 1]).astype(np.float64)
+    if spec.model is ServiceModel.COUNT:
+        covered = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum(mask & arrays.probe_own[rows], out=covered[1:])
+        raw = (covered[end] - covered[first]).astype(np.float64)
+        return raw / arrays.n_points[candidates] if spec.normalize else raw
+    # LENGTH: lay each entry's served segment lengths out on one row of
+    # a zero-padded matrix; a running sum along the row adds them in
+    # segment order, as the per-entry loop does
+    seg = np.flatnonzero(arrays.probe_seg[rows])
+    lens = np.diff(block_off)
+    owner = np.repeat(np.arange(candidates.size), lens)
+    padded = np.zeros((candidates.size, int(lens.max())))
+    padded[owner[seg], seg - first[owner[seg]]] = np.where(
+        mask[seg] & mask[seg + 1], arrays.probe_seg_len[rows[seg]], 0.0
+    )
+    raw = np.cumsum(padded, axis=1)[:, -1]
+    if not spec.normalize:
+        return raw
+    total = arrays.traj_length[candidates]
+    out = np.zeros_like(raw)
+    np.divide(raw, total, out=out, where=total > 0)
+    return out
 
 
 def evaluate_node_trajectories(
@@ -307,14 +338,20 @@ def evaluate_node_trajectories(
 
     ``runtime`` owns the probe path (how the exact distance pass
     executes) and memoises the (candidates, mask) pair per (facility,
-    q-node, psi, mode) in its cache: the component a facility induces at
-    a node is the same whichever algorithm walked there (stops within
-    the node's box expanded by ``psi``), so a later walk in the same
-    mode — a repeated query, an ancestor re-scan — reuses the geometric
-    work and only re-runs the cheap aggregation.  Mode (collecting flag
-    plus service model) is part of the key because it changes which
-    candidates survive zReduce.  ``cache`` is the deprecated
-    pre-runtime spelling (a bare :class:`~repro.engine.CoverageCache`).
+    q-node version, psi, mode) in its cache: the component a facility
+    induces at a q-node is the same whichever algorithm walked there
+    (stops within the node's box expanded by ``psi``), so a later walk
+    in the same mode — a repeated query, an ancestor re-scan — reuses
+    the geometric work and only re-runs the cheap aggregation.  Mode
+    (collecting flag plus service model) is part of the key because it
+    changes which candidates survive zReduce.  ``cache`` is the
+    deprecated pre-runtime spelling (a bare
+    :class:`~repro.engine.CoverageCache`).
+
+    With a ``collector`` the node's sum is taken sequentially over the
+    per-entry scores, exactly as summing :meth:`IndexEntry
+    .score_from_covered` entry by entry would, and every covered probe
+    point is recorded.
     """
     if (
         runtime is not None
@@ -343,45 +380,55 @@ def evaluate_node_trajectories(
         cache = runtime.cache
     if component.is_empty or not node.entries:
         return 0.0
+    arrays = node.arrays()
     collecting = collector is not None
-    key = None
-    if cache is not None:
-        key = (
-            component.facility_id,
-            id(node),
-            spec.psi,
-            collecting,
-            spec.model.value,
-        )
-        hit = cache.lookup_node(key, node, component.stops.coords)
-        if hit is not None:
-            candidates, mask = hit
-            if stats is not None:
-                stats.entries_considered += len(node.entries)
-                stats.entries_scored += len(candidates)
-                stats.cache_hits += 1
-            if not candidates:
-                return 0.0
-            return _aggregate_candidates(candidates, mask, spec, collector)
-    candidates = _zreduce_candidates(tree, node, component, spec, collecting)
-    if candidates is None:
-        candidates = _linear_candidates(
-            node, component, spec, tree.config.variant, collecting
-        )
+    key = (
+        component.facility_id,
+        id(node),
+        node.version,
+        spec.psi,
+        collecting,
+        spec.model.value,
+    )
+    hit = (
+        cache.lookup_node(key, node, component.stops.coords)
+        if cache is not None
+        else None
+    )
+    if hit is not None:
+        candidates, mask = hit
+    else:
+        candidates = _zreduce_candidates(tree, node, component, spec, collecting)
+        if candidates is None:
+            candidates = _linear_candidates(
+                arrays.gov, component, spec, tree.config.variant, collecting
+            )
     if stats is not None:
         stats.entries_considered += len(node.entries)
-        stats.entries_scored += len(candidates)
-    if not candidates:
+        stats.entries_scored += candidates.size
+        if hit is not None:
+            stats.cache_hits += 1
+    rows, block_off = _probe_rows(arrays.probe_off, candidates)
+    if hit is None:
+        mask = (
+            _candidate_mask(
+                arrays.probe_coords[rows], component, spec, stats, runtime
+            )
+            if candidates.size
+            else np.zeros(0, dtype=bool)
+        )
         if cache is not None:
             cache.store_node(
-                key, node, component.stops.coords, candidates,
-                np.zeros(0, dtype=bool),
+                key, node, component.stops.coords, candidates, mask
             )
+    if not candidates.size:
         return 0.0
-    mask = _candidate_mask(candidates, component, spec, stats, runtime)
-    if cache is not None:
-        cache.store_node(key, node, component.stops.coords, candidates, mask)
-    return _aggregate_candidates(candidates, mask, spec, collector)
+    if collector is None:
+        return _aggregate_candidates(arrays, rows, block_off, mask, spec)
+    hits = rows[mask]
+    collector.extend(arrays.probe_tid[hits], arrays.probe_pidx[hits])
+    scores = _entry_scores(arrays, candidates, rows, block_off, mask, spec)
+    return float(np.cumsum(scores)[-1])
 
 
 def evaluate_core(

@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..core.service import ServiceSpec
 from ..core.trajectory import FacilityRoute
 from ..index.tqtree import QNode, TQTree
@@ -113,16 +115,14 @@ def _walk(
             # that hold surviving candidates, one block each
             costs.directory_blocks += 2
             candidates = _candidates_for_pricing(tree, zlist, component, spec)
-            if candidates:
-                wanted = {e.entry_id for e in candidates}
-                touched = 0
-                for bucket in zlist._buckets:
-                    if any(
-                        zlist.entries[i].entry_id in wanted
-                        for i in range(bucket.lo, bucket.hi)
-                    ):
-                        touched += 1
-                costs.list_blocks += touched
+            if candidates.size:
+                wanted = np.zeros(len(node.entries), dtype=bool)
+                wanted[candidates] = True
+                in_order = wanted[zlist.node_pos]
+                costs.list_blocks += sum(
+                    1 for bucket in zlist._buckets
+                    if in_order[bucket.lo : bucket.hi].any()
+                )
     if node.children is not None:
         boxes = [child.box for child in node.children]
         for child, child_comp in zip(

@@ -88,9 +88,9 @@ def core_match_fn(
     synchronous path.
 
     With a runtime the fn is wrapped under a *semantic* cache key
-    (tree + spec), so every match fn built for the same tree and spec —
-    sync wrappers, service requests, solver ensembles — shares one set
-    of entries.
+    (tree, its insert version, spec), so every match fn built for the
+    same tree state and spec — sync wrappers, service requests, solver
+    ensembles — shares one set of entries, and an insert retires them.
     """
 
     def fn(facility: FacilityRoute) -> Matches:
@@ -105,7 +105,7 @@ def core_match_fn(
     if runtime is None:
         return fn
     return runtime.cache.cached_match_fn(
-        fn, key=("tq-matches", id(tree), spec), pin=tree
+        fn, key=("tq-matches", id(tree), tree.version, spec), pin=tree
     )
 
 
@@ -170,8 +170,7 @@ def greedy_max_k_coverage(
         best_f: Optional[FacilityRoute] = None
         best_key = (0.0, 0)
         for f in remaining:
-            m = matches[f.facility_id]
-            key = (state.gain(m), state.new_coverage_count(m))
+            key = state.price(matches[f.facility_id])
             if key > best_key:
                 best_key = key
                 best_f = f

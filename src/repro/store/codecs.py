@@ -384,8 +384,9 @@ def adopt_tree_node_tables(
     bundle and node tables travel together).  Shape mismatches degrade
     safely: a tree with a different node count adopts nothing, a node
     whose entry count disagrees with its persisted table keeps nothing,
-    and ``gov_arrays`` self-heals on any later mismatch by rebuilding —
-    so a stale file costs a lazy rebuild, not a wrong answer.
+    and a table is adopted for the node's current version only, so the
+    first insert that changes a node's list drops it — a stale file
+    costs a lazy rebuild, not a wrong answer.
     """
     kind, meta, arrays = read_store_file(path, mmap_mode=mmap_mode)
     if mmap_mode == "r":
@@ -408,6 +409,6 @@ def adopt_tree_node_tables(
     for i, node in enumerate(nodes):
         table = gov[int(indptr[i]) : int(indptr[i + 1])]
         if table.shape[0] == len(node.entries):
-            node._gov_cache = table
+            node.adopt_gov(table)
             adopted += 1
     return adopted

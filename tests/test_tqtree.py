@@ -239,6 +239,35 @@ class TestInsert:
             brute_force_service(users, facility, spec)
         )
 
+    @pytest.mark.parametrize("builder", [build_tq_zorder, build_tq_basic])
+    def test_runtime_caches_retire_on_insert(self, city, builder):
+        """A runtime that already walked the tree must not answer from
+        node results or match sets cached before an insert."""
+        from repro import (
+            QueryRuntime,
+            brute_force_service,
+            evaluate_service,
+            generate_bus_routes,
+            generate_taxi_trips,
+            maxkcov_tq,
+        )
+
+        users = generate_taxi_trips(400, city, seed=5)
+        routes = generate_bus_routes(6, city, seed=3, n_stops=16)
+        spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
+        tree = builder(users[:300], space=city.bounds)
+        runtime = QueryRuntime()
+        evaluate_service(tree, routes[0], spec, runtime=runtime)
+        maxkcov_tq(tree, routes, 2, spec, runtime=runtime)
+        for u in users[300:]:
+            tree.insert(u)
+        want = brute_force_service(users, routes[0], spec)
+        assert evaluate_service(tree, routes[0], spec, runtime=runtime) == want
+        assert evaluate_service(tree, routes[0], spec) == want
+        assert maxkcov_tq(tree, routes, 2, spec, runtime=runtime) == maxkcov_tq(
+            tree, routes, 2, spec
+        )
+
     def test_leaf_split_on_overflow(self):
         cluster = [
             Trajectory(i, [(10 + i * 0.5, 10), (12 + i * 0.5, 12)]) for i in range(20)

@@ -33,6 +33,15 @@ def users_grid(n):
     ]
 
 
+def picked(zl, positions):
+    """The entries at ``positions``, indices into the list ``zl`` was
+    built from (what the candidate modes return)."""
+    source = [None] * len(zl)
+    for z, i in enumerate(zl.node_pos):
+        source[i] = zl.entries[z]
+    return [source[i] for i in positions]
+
+
 def stops_array(points):
     return np.array([(p.x, p.y) for p in points], dtype=np.float64)
 
@@ -52,7 +61,7 @@ class TestConstruction:
         zl = ZOrderedList(WORLD, [], beta=4)
         assert len(zl) == 0
         assert zl.n_buckets == 0
-        assert zl.candidates_both(WORLD) == []
+        assert picked(zl, zl.candidates_both(WORLD)) == []
 
     def test_bucket_capacity_respected(self):
         zl = build(users_grid(50), beta=4)
@@ -107,7 +116,9 @@ class TestCandidateModes:
         psi = 150.0
         cands = {
             e.entry_id
-            for e in zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi)
+            for e in picked(
+                zl, zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi)
+            )
         }
         for e in entries_of(users):
             if _served_endpoint(e, stops, psi):
@@ -117,11 +128,11 @@ class TestCandidateModes:
         users = users_grid(60)
         zl = build(users, beta=4)
         box = BBox(100, 100, 400, 400)
-        loose = {e.entry_id for e in zl.candidates_both(box)}
+        loose = {e.entry_id for e in picked(zl, zl.candidates_both(box))}
         stops = [Point(250, 250)]
         tight = {
             e.entry_id
-            for e in zl.candidates_both(box, stops_array(stops), 150.0)
+            for e in picked(zl, zl.candidates_both(box, stops_array(stops), 150.0))
         }
         assert tight <= loose
 
@@ -129,8 +140,8 @@ class TestCandidateModes:
         users = users_grid(60)
         zl = build(users, beta=4)
         box = BBox(100, 100, 400, 400)
-        both = {e.entry_id for e in zl.candidates_both(box)}
-        any_ = {e.entry_id for e in zl.candidates_any(box)}
+        both = {e.entry_id for e in picked(zl, zl.candidates_both(box))}
+        any_ = {e.entry_id for e in picked(zl, zl.candidates_any(box))}
         assert both <= any_
 
     def test_any_mode_catches_single_endpoint(self):
@@ -140,7 +151,8 @@ class TestCandidateModes:
             Trajectory(2, [(900, 900), (950, 950)]),  # neither
         ]
         zl = build(users, beta=2)
-        ids = {e.traj.traj_id for e in zl.candidates_any(BBox(0, 0, 100, 100))}
+        got = picked(zl, zl.candidates_any(BBox(0, 0, 100, 100)))
+        ids = {e.traj.traj_id for e in got}
         assert {0, 1} <= ids
 
     def test_bbox_mode_sound_for_full_entries(self):
@@ -154,13 +166,13 @@ class TestCandidateModes:
             beta=2,
         )
         box = BBox(0, 0, 100, 100)
-        ids = {e.traj.traj_id for e in zl.candidates_bbox(box)}
+        ids = {e.traj.traj_id for e in picked(zl, zl.candidates_bbox(box))}
         assert 0 in ids
         assert 1 not in ids
 
     def test_empty_stop_set_disc_filter(self):
         zl = build(users_grid(30), beta=4)
-        got = zl.candidates_both(WORLD, np.zeros((0, 2)), 10.0)
+        got = picked(zl, zl.candidates_both(WORLD, np.zeros((0, 2)), 10.0))
         # with no stops the EMBR-only filter applies (stops given but empty)
         assert isinstance(got, list)
 
@@ -174,7 +186,9 @@ class TestCandidateModes:
         psi = 120.0
         cands = {
             e.entry_id
-            for e in zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi)
+            for e in picked(
+                zl, zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi)
+            )
         }
         for e in entries_of(users):
             if _served_endpoint(e, stops, psi):
@@ -191,7 +205,9 @@ class TestCandidateModes:
         psi = 200.0
         cands = {
             e.entry_id
-            for e in zl.candidates_any(embr_of(stops, psi), stops_array(stops), psi)
+            for e in picked(
+                zl, zl.candidates_any(embr_of(stops, psi), stops_array(stops), psi)
+            )
         }
         for e in entries:
             start_near = any(e.gov_start.dist_to(s) <= psi for s in stops)
@@ -205,7 +221,7 @@ class TestCandidateModes:
         entries = entries_of(users, IndexVariant.FULL)
         zl = ZOrderedList(WORLD, entries, beta=3)
         box = BBox(200, 200, 600, 600)
-        cands = {e.entry_id for e in zl.candidates_bbox(box)}
+        cands = {e.entry_id for e in picked(zl, zl.candidates_bbox(box))}
         for e in entries:
             if any(box.contains_point(p) for p in e.traj.points):
                 assert e.entry_id in cands
